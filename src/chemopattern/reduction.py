@@ -159,23 +159,15 @@ def b_coefficients(p: ModelParams, rho_star: float) -> tuple[float, float, float
 
     ``a_c`` couples a critical mode to the mean mode, ``b1_q`` to the
     double-wavenumber harmonics (squared wavenumber 4*rho), ``b2_q`` to the
-    mixed harmonics (squared wavenumber 3*rho).  Each strength is evaluated
-    in two algebraically equivalent forms that must agree to 1e-12, which
-    guards the transcription.
+    mixed harmonics (squared wavenumber 3*rho).  The test suite checks these
+    against a second, algebraically equivalent printed form.
     """
     r = rho_star
     if r <= 0:
         raise ValueError("rho_star must be positive")
     a_c = -6.0 * p.alpha + p.lam * r / (1.0 + r)
-
     b1 = 0.25 * (-6.0 * p.alpha + p.lam * r * (2.0 / (1.0 + 4.0 * r) - 1.0 / (1.0 + r)))
-    b1_alt = 0.25 * (a_c - 6.0 * p.lam * r**2 / ((1.0 + r) * (1.0 + 4.0 * r)))
     b2 = 0.25 * (-6.0 * p.alpha + 0.5 * p.lam * r * (3.0 / (1.0 + 3.0 * r) - 1.0 / (1.0 + r)))
-    b2_alt = 0.25 * (a_c - 3.0 * p.lam * r**2 / ((1.0 + r) * (1.0 + 3.0 * r)))
-
-    scale = max(1.0, abs(a_c), abs(b1), abs(b2))
-    if abs(b1 - b1_alt) > 1e-12 * scale or abs(b2 - b2_alt) > 1e-12 * scale:
-        raise AssertionError("the two printed forms of b1/b2 disagree; transcription bug")
     return a_c, b1, b2
 
 

@@ -10,11 +10,12 @@ Two integrators live here, sharing the spatial machinery of
             - 3*alpha*u^2 - alpha*u^3                      (quadratic + cubic)
 
   with w = (-Lap + 1)^(-1) u the quasi-static chemoattractant response.  The
-  identity Lap(w) = w - u replaces the second Laplacian application in the
-  nonlinear term.  The linear part is diagonal in the cosine basis and is
-  advanced exactly; the nonlinearity uses a second-order exponential midpoint
-  rule.  Quadratic and cubic products are formed on a grid padded by
-  ``dealias_factor`` (2 is exact for a cubic nonlinearity).
+  linear part is diagonal in the cosine basis and is advanced exactly; the
+  nonlinearity uses a second-order exponential midpoint rule.  Quadratic and
+  cubic products are formed on a grid padded by ``dealias_factor`` (2 is
+  exact for a cubic nonlinearity), with gradient products rewritten through
+  grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
+  syntheses of the fields and their Laplacians are needed.
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -44,17 +45,22 @@ from .transforms import (
     SpectralField,
     GridField,
     coeffs_to_grid,
-    coeffs_to_grid_dx,
-    coeffs_to_grid_dy,
     grid_to_coeffs,
+    helmholtz_inverse,
 )
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a simulation produces non-finite or runaway values."""
+    """Raised when a simulation produces non-finite or runaway values.
 
-    def __init__(self, time: float, diagnostics: "Diagnostics | None" = None):
-        super().__init__(f"simulation blew up at t = {time:g}")
+    ``time`` is the model time of the offending state, or None where there is
+    no time axis (standalone :func:`step`), in which case ``message`` says
+    what went wrong.
+    """
+
+    def __init__(self, time: float | None, diagnostics: "Diagnostics | None" = None,
+                 message: str | None = None):
+        super().__init__(message or f"simulation blew up at t = {time:g}")
         self.time = time
         self.diagnostics = diagnostics
 
@@ -179,27 +185,28 @@ def linear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
 def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> SpectralField:
     """Quadratic + cubic right-hand side, fully dealiased.
 
-    The chemoattractant response w is obtained spectrally, all factors are
-    synthesized on the padded grid (derivatives with sine parity along the
-    differentiated axis), multiplied pointwise, and the product is projected
-    back to the base resolution.
+    The nonlinearity -lam*grad(u).grad(w) - lam*u*Lap(w) - 3*alpha*u^2 -
+    alpha*u^3 is rewritten through the product identity as
+
+        (lam/2)*(w*Lap(u) - u*Lap(w)) - 3*alpha*u^2 - alpha*u^3 - (lam/2)*Lap(uw),
+
+    with Lap(w) = w - u.  Only u, w and Lap(u) are synthesized on the padded
+    grid; the pointwise part and the product uw are projected back to the base
+    resolution, where Lap(uw) is the exact diagonal multiplication by -rho_k.
     """
     if dealias_factor < 2:
         raise ValueError("dealias_factor must be >= 2 for the cubic nonlinearity")
     n1, n2 = u.shape
-    _, _, gain, pad = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
+    table, _, gain, pad = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
     lam, alpha = p.lam, p.alpha
     c = u.coeffs
-    w = gain * c
     U = coeffs_to_grid(c, pad)
-    W = coeffs_to_grid(w, pad)
-    Ux = coeffs_to_grid_dx(c, u.geometry, pad)
-    Uy = coeffs_to_grid_dy(c, u.geometry, pad)
-    Wx = coeffs_to_grid_dx(w, u.geometry, pad)
-    Wy = coeffs_to_grid_dy(w, u.geometry, pad)
-    g = (-lam * (Ux * Wx + Uy * Wy) - lam * U * W
-         + (lam - 3.0 * alpha) * U * U - alpha * U * U * U)
-    return SpectralField(grid_to_coeffs(g)[:n1, :n2], u.geometry)
+    W = coeffs_to_grid(gain * c, pad)
+    LapU = coeffs_to_grid(-table * c, pad)
+    LapW = W - U
+    g = 0.5 * lam * (W * LapU - U * LapW) - 3.0 * alpha * U * U - alpha * U * U * U
+    uw = grid_to_coeffs(U * W, (n1, n2))
+    return SpectralField(grid_to_coeffs(g, (n1, n2)) + 0.5 * lam * table * uw, u.geometry)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -254,7 +261,8 @@ def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
         n_half = nonlinear_rhs(SpectralField(c_half, u.geometry), p, dealias_factor).coeffs
         out = exp_full * u.coeffs + dt * exp_half * n_half
     if not np.all(np.isfinite(out)):
-        raise BlowUpError(dt)
+        raise BlowUpError(None, message=f"a step of size dt = {dt:g} from the given "
+                                        "state produced non-finite values")
     return SpectralField(out, u.geometry)
 
 
@@ -400,17 +408,16 @@ class _PairStepper:
         self.table = table
 
     def _nonlinear(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+        """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, through the
+        product identity as in :func:`nonlinear_rhs`."""
         cfg = self.cfg
-        p, g = cfg.params, cfg.geometry
+        alpha, shape = cfg.params.alpha, (cfg.n1, cfg.n2)
         U = coeffs_to_grid(cu, self.pad)
-        Ux = coeffs_to_grid_dx(cu, g, self.pad)
-        Uy = coeffs_to_grid_dy(cu, g, self.pad)
-        Vx = coeffs_to_grid_dx(cv, g, self.pad)
-        Vy = coeffs_to_grid_dy(cv, g, self.pad)
+        V = coeffs_to_grid(cv, self.pad)
+        LapU = coeffs_to_grid(-self.table * cu, self.pad)
         LapV = coeffs_to_grid(-self.table * cv, self.pad)
-        nu = (-(Ux * Vx + Uy * Vy) - U * LapV
-              - 3.0 * p.alpha * U * U - p.alpha * U * U * U)
-        return grid_to_coeffs(nu)[: cfg.n1, : cfg.n2]
+        nu = 0.5 * (V * LapU - U * LapV) - 3.0 * alpha * U * U - alpha * U * U * U
+        return grid_to_coeffs(nu, shape) + 0.5 * self.table * grid_to_coeffs(U * V, shape)
 
     @staticmethod
     def _mat(E, u, v):
@@ -448,7 +455,7 @@ def simulate_full_system(
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
     stepper = _PairStepper(cfg)
     if v0 is None:
-        cv = cfg.params.lam * u0.coeffs / (1.0 + stepper.table)
+        cv = helmholtz_inverse(u0, cfg.params.lam).coeffs
     else:
         if v0.shape != (cfg.n1, cfg.n2):
             raise ValueError("v0 resolution does not match the configuration")

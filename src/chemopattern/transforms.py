@@ -7,13 +7,14 @@ condition then holds identically.  The collocation grid is the half-integer
 (midpoint) grid x_i = (i + 1/2) * ell / n, on which the type-II/III discrete
 cosine transforms implement exact analysis/synthesis.
 
-Partial derivatives leave the cosine family: differentiating along an axis
-turns the cosine factor into a sine, so derivative evaluation carries a
-per-axis parity flag and uses the type-III discrete sine transform along the
-differentiated axis.  Products of derivatives have even parity again and are
-projected back with the plain cosine analysis.  All evaluation routines accept
-a target grid shape so nonlinear terms can be formed on a padded (dealiased)
-grid.
+Nonlinear terms never need a derivative on the grid.  The Laplacian is
+diagonal in the cosine basis, so gradient products are formed through
+grad(u).grad(w) = (1/2) [Lap(uw) - u Lap(w) - w Lap(u)]: every factor is a
+plain cosine synthesis, and Lap(uw) is applied after the analysis, which is
+exact for the dealiased product.  Synthesis accepts a target grid shape and
+analysis a truncation shape, so nonlinear terms can be formed on a padded
+(dealiased) grid; both skip the transform passes over rows and columns known
+to be zero or discarded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dst
+from scipy.fft import dct
 
 from .core import DomainGeometry, ModeIndex, rho_table
 
@@ -75,10 +76,14 @@ def collocation_points(n: int, ell: float) -> np.ndarray:
     return (np.arange(n) + 0.5) * ell / n
 
 
-def grid_to_coeffs(values: np.ndarray) -> np.ndarray:
-    """Cosine analysis: point values on the midpoint grid -> coefficients."""
+def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Cosine analysis: point values on the midpoint grid -> coefficients,
+    truncated to ``shape`` (<= grid shape; default: the full grid)."""
     m1, m2 = values.shape
-    c = dct(dct(values, type=2, axis=0), type=2, axis=1)
+    n1, n2 = shape if shape is not None else (m1, m2)
+    if n1 > m1 or n2 > m2:
+        raise ValueError(f"truncation {n1}x{n2} larger than grid {m1}x{m2}")
+    c = dct(dct(values, type=2, axis=0)[:n1], type=2, axis=1)[:, :n2]
     c /= (2.0 * m1) * (2.0 * m2)
     c[1:, :] *= 2.0
     c[:, 1:] *= 2.0
@@ -91,57 +96,13 @@ def coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int] | None = None) -> 
     m1, m2 = shape if shape is not None else (n1, n2)
     if m1 < n1 or m2 < n2:
         raise ValueError(f"target grid {m1}x{m2} smaller than coefficients {n1}x{n2}")
-    p = np.zeros((m1, m2))
-    p[:n1, :n2] = coeffs
+    p = np.zeros((m1, n2))
+    p[:n1] = coeffs
     p[1:, :] *= 0.5
     p[:, 1:] *= 0.5
-    return dct(dct(p, type=3, axis=0), type=3, axis=1)
-
-
-def _sine_synthesis(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Evaluate sum_j c[j] * sin(j*pi*x/ell) along ``axis`` on the midpoint
-    grid; c[0] corresponds to j=0 and is ignored (sin(0) = 0)."""
-    b = np.roll(coeffs, -1, axis=axis) * 0.5
-    if axis == 0:
-        b[-1, :] = 0.0
-    else:
-        b[:, -1] = 0.0
-    return dst(b, type=3, axis=axis)
-
-
-def coeffs_to_grid_dx(coeffs: np.ndarray, geometry: DomainGeometry,
-                      shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Synthesis of the x1-derivative: sine parity along axis 0."""
-    n1, n2 = coeffs.shape
-    m1, m2 = shape if shape is not None else (n1, n2)
-    if m1 < n1 or m2 < n2:
-        raise ValueError(f"target grid {m1}x{m2} smaller than coefficients {n1}x{n2}")
-    p = np.zeros((m1, m2))
-    k1 = np.arange(n1)[:, None]
-    p[:n1, :n2] = -(k1 * np.pi / geometry.ell1) * coeffs
-    p[:, 1:] *= 0.5
-    g = dct(p, type=3, axis=1)
-    return _sine_synthesis(g, axis=0)
-
-
-def coeffs_to_grid_dy(coeffs: np.ndarray, geometry: DomainGeometry,
-                      shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Synthesis of the x2-derivative: sine parity along axis 1."""
-    n1, n2 = coeffs.shape
-    m1, m2 = shape if shape is not None else (n1, n2)
-    if m1 < n1 or m2 < n2:
-        raise ValueError(f"target grid {m1}x{m2} smaller than coefficients {n1}x{n2}")
-    p = np.zeros((m1, m2))
-    k2 = np.arange(n2)[None, :]
-    p[:n1, :n2] = -(k2 * np.pi / geometry.ell2) * coeffs
-    p[1:, :] *= 0.5
-    g = dct(p, type=3, axis=0)
-    return _sine_synthesis(g, axis=1)
-
-
-def project_to_coeffs(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Cosine analysis of (possibly padded) grid values, truncated to n1 x n2."""
-    return grid_to_coeffs(values)[:n1, :n2]
+    g = np.zeros((m1, m2))
+    g[:, :n2] = dct(p, type=3, axis=0)
+    return dct(g, type=3, axis=1)
 
 
 def transform_forward(g: GridField) -> SpectralField:

@@ -104,6 +104,51 @@ def nonlinear_by_quadrature(coeffs: np.ndarray, g: DomainGeometry, p: ModelParam
     return out
 
 
+def pair_nonlinear_by_quadrature(cu: np.ndarray, cv: np.ndarray, g: DomainGeometry,
+                                 p: ModelParams, n_quad: int = 512,
+                                 out_modes: tuple[int, int] = (8, 8)) -> np.ndarray:
+    """Projection of the two-field model's nonlinear cell-density term onto
+    low cosine modes, by pointwise evaluation on a midpoint quadrature grid.
+
+    The term is evaluated in its literal form
+    -grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, with every
+    derivative taken mode by mode.
+    """
+    n1, n2 = cu.shape
+    x, y = midpoint_grid(g, n_quad)
+    U = np.zeros((n_quad, n_quad))
+    Ux = np.zeros_like(U)
+    Uy = np.zeros_like(U)
+    Vx = np.zeros_like(U)
+    Vy = np.zeros_like(U)
+    LapV = np.zeros_like(U)
+    for k1 in range(n1):
+        d1 = k1 * np.pi / g.ell1
+        cx, sx = np.cos(d1 * x), np.sin(d1 * x)
+        for k2 in range(n2):
+            a, b = cu[k1, k2], cv[k1, k2]
+            if a == 0.0 and b == 0.0:
+                continue
+            d2 = k2 * np.pi / g.ell2
+            cy, sy = np.cos(d2 * y), np.sin(d2 * y)
+            base = np.outer(cx, cy)
+            U += a * base
+            Ux += -a * d1 * np.outer(sx, cy)
+            Uy += -a * d2 * np.outer(cx, sy)
+            Vx += -b * d1 * np.outer(sx, cy)
+            Vy += -b * d2 * np.outer(cx, sy)
+            LapV += -b * (d1 * d1 + d2 * d2) * base
+    H = -(Ux * Vx + Uy * Vy) - U * LapV - 3.0 * p.alpha * U * U - p.alpha * U * U * U
+    out = np.zeros(out_modes)
+    for k1 in range(out_modes[0]):
+        cx = np.cos(k1 * np.pi * x / g.ell1)
+        for k2 in range(out_modes[1]):
+            cy = np.cos(k2 * np.pi * y / g.ell2)
+            basis = np.outer(cx, cy)
+            out[k1, k2] = np.mean(H * basis) / np.mean(basis * basis)
+    return out
+
+
 def count_root_clusters(field, box: float, n: int = 400) -> int:
     """Count nontrivial roots of a planar field by a sign-change grid scan.
 

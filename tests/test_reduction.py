@@ -82,12 +82,19 @@ class TestBCoefficients:
         assert b2 == pytest.approx(-0.9375, rel=1e-13)
 
     def test_two_printed_forms_agree_randomized(self):
-        # b_coefficients raises internally if its two equivalent forms split
+        # the second printed form of b1/b2, written in terms of a_c, guards the
+        # transcription of the first
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = ModelParams(float(rng.uniform(0.1, 20)), float(rng.uniform(0.1, 5)),
                             float(rng.uniform(0.1, 40)))
-            b_coefficients(p, float(rng.uniform(0.05, 5.0)))
+            r = float(rng.uniform(0.05, 5.0))
+            a_c, b1, b2 = b_coefficients(p, r)
+            b1_alt = 0.25 * (a_c - 6.0 * p.lam * r**2 / ((1.0 + r) * (1.0 + 4.0 * r)))
+            b2_alt = 0.25 * (a_c - 3.0 * p.lam * r**2 / ((1.0 + r) * (1.0 + 3.0 * r)))
+            scale = max(1.0, abs(a_c), abs(b1), abs(b2))
+            assert abs(b1 - b1_alt) <= 1e-12 * scale
+            assert abs(b2 - b2_alt) <= 1e-12 * scale
 
 
 class TestKappaCoefficients:

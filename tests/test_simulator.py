@@ -14,10 +14,10 @@ from chemopattern import (
     simulate_full_system,
     step,
 )
-from chemopattern.core import rho, sigma
-from chemopattern.simulator import BlowUpError, InitialCondition, SimConfig
+from chemopattern.core import rho, rho_table, sigma
+from chemopattern.simulator import BlowUpError, InitialCondition, SimConfig, _PairStepper
 
-from oracles import nonlinear_by_quadrature
+from oracles import nonlinear_by_quadrature, pair_nonlinear_by_quadrature
 
 P = ModelParams(8.0, 1.0, 18.0)
 G = make_critical_geometry(1, 1, P)
@@ -141,6 +141,21 @@ class TestStep:
             assert order >= 1.8
         assert np.mean(orders) == pytest.approx(2.0, abs=0.2)
 
+    def test_overflow_reports_the_step_not_a_time(self):
+        # one mode at the fastest growth rate, with exp(sigma*dt) overflowing
+        # on the full step but not on the half step
+        p = ModelParams(8.0, 1.0, 19.0)
+        sig = sigma(rho_table(32, 32, G), p)
+        k = np.unravel_index(np.argmax(sig), sig.shape)
+        c = np.zeros((32, 32))
+        c[k] = 1e-300
+        dt = 1000.0 / sig[k]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowUpError, match="step of size dt = .* non-finite") as err:
+            step(SpectralField(c, G), p, dt)
+        assert err.value.time is None
+        assert "blew up at t" not in str(err.value)
+
 
 def sim_config(**kw):
     defaults = dict(params=P, geometry=G, n1=32, n2=32, dt=0.02, t_end=50.0,
@@ -256,6 +271,18 @@ class TestFullSystem:
         for k in ((1, 1), (0, 2)):
             series = diag.mode_series[k]
             assert series[-1] == pytest.approx(series[0], rel=1e-4)
+
+    def test_nonlinear_term_against_quadrature_oracle(self):
+        stepper = _PairStepper(sim_config())
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            cu = np.zeros((32, 32))
+            cv = np.zeros((32, 32))
+            cu[:5, :5] = rng.uniform(-0.1, 0.1, size=(5, 5))
+            cv[:5, :5] = rng.uniform(-0.5, 0.5, size=(5, 5))
+            spec = stepper._nonlinear(cu, cv)[:8, :8]
+            oracle = pair_nonlinear_by_quadrature(cu, cv, G, P, n_quad=512, out_modes=(8, 8))
+            assert np.max(np.abs(spec - oracle)) <= 1e-8
 
     def test_agrees_with_scalar_model(self):
         p = ModelParams(8.0, 1.0, 18.36)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from chemopattern import (
     DomainGeometry,
@@ -13,8 +14,6 @@ from chemopattern import (
 )
 from chemopattern.transforms import (
     coeffs_to_grid,
-    coeffs_to_grid_dx,
-    coeffs_to_grid_dy,
     collocation_points,
     grid_to_coeffs,
     laplacian,
@@ -62,29 +61,6 @@ class TestRoundTrip:
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize("pad", [1, 2])
-    def test_against_mode_sums(self, pad):
-        rng = np.random.default_rng(4)
-        n = 16
-        c = np.zeros((n, n))
-        c[:6, :6] = rng.normal(size=(6, 6))
-        shape = (pad * n, pad * n)
-        x = collocation_points(shape[0], GEOM.ell1)
-        y = collocation_points(shape[1], GEOM.ell2)
-        want_dx = np.zeros(shape)
-        want_dy = np.zeros(shape)
-        for k1 in range(6):
-            for k2 in range(6):
-                a = c[k1, k2]
-                if a == 0:
-                    continue
-                d1 = k1 * math.pi / GEOM.ell1
-                d2 = k2 * math.pi / GEOM.ell2
-                want_dx += -a * d1 * np.outer(np.sin(d1 * x), np.cos(d2 * y))
-                want_dy += -a * d2 * np.outer(np.cos(d1 * x), np.sin(d2 * y))
-        assert np.max(np.abs(coeffs_to_grid_dx(c, GEOM, shape) - want_dx)) <= 1e-12
-        assert np.max(np.abs(coeffs_to_grid_dy(c, GEOM, shape) - want_dy)) <= 1e-12
-
     def test_padded_evaluation_consistent(self):
         rng = np.random.default_rng(8)
         c = rng.normal(size=(16, 16))
@@ -95,6 +71,41 @@ class TestDerivatives:
     def test_rejects_shrinking_grid(self):
         with pytest.raises(ValueError, match="smaller"):
             coeffs_to_grid(np.zeros((16, 16)), (8, 16))
+
+
+def unpruned_synthesis(coeffs, shape):
+    n1, n2 = coeffs.shape
+    p = np.zeros(shape)
+    p[:n1, :n2] = coeffs
+    p[1:, :] *= 0.5
+    p[:, 1:] *= 0.5
+    return dct(dct(p, type=3, axis=0), type=3, axis=1)
+
+
+def unpruned_analysis(values, shape):
+    m1, m2 = values.shape
+    c = dct(dct(values, type=2, axis=0), type=2, axis=1)
+    c /= (2.0 * m1) * (2.0 * m2)
+    c[1:, :] *= 2.0
+    c[:, 1:] *= 2.0
+    return c[:shape[0], :shape[1]]
+
+
+class TestPrunedTransforms:
+    # skipping the passes over zero-padded or discarded rows and columns must
+    # not change a single bit against the plain two-pass transforms
+    @pytest.mark.parametrize("base, grid", [((32, 32), (32, 32)), ((32, 32), (64, 64)),
+                                            ((64, 64), (128, 128)), ((32, 64), (64, 128))])
+    def test_bitwise_equal_to_unpruned(self, base, grid):
+        rng = np.random.default_rng(base[0] + grid[1])
+        c = rng.normal(size=base)
+        assert np.array_equal(coeffs_to_grid(c, grid), unpruned_synthesis(c, grid))
+        values = rng.normal(size=grid)
+        assert np.array_equal(grid_to_coeffs(values, base), unpruned_analysis(values, base))
+
+    def test_rejects_growing_truncation(self):
+        with pytest.raises(ValueError, match="larger"):
+            grid_to_coeffs(np.zeros((16, 16)), (32, 16))
 
 
 class TestHelmholtz:
