@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .transforms import GridField
 
 
@@ -33,21 +31,6 @@ def snapshot_text(field: GridField, t: float) -> str:
     for i in range(n1):
         lines.append(" ".join(fmt(v) for v in field.values[i]))
     return "\n".join(lines) + "\n"
-
-
-def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
-    """Inverse of :func:`snapshot_text`; returns (values, header dict)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing snapshot header")
-        n1_s, n2_s, ell1_s, ell2_s, t_s = header[1:].split()
-        values = np.loadtxt(fh, ndmin=2)
-    meta = {"n1": int(n1_s), "n2": int(n2_s), "ell1": float(ell1_s),
-            "ell2": float(ell2_s), "t": float(t_s)}
-    if values.shape != (meta["n1"], meta["n2"]):
-        raise ValueError(f"{path}: data shape {values.shape} does not match header")
-    return values, meta
 
 
 def series_text(diag) -> str:

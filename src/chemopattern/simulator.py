@@ -27,35 +27,42 @@ Two integrators live here, sharing the spatial machinery of
   threshold its attracting states must agree with the scalar model, which is
   exactly what the cross-model checks compare.
 
+Both run through one loop, :func:`_run`, over a stepper whose ``step`` maps
+a state (coefficients, or the ``(cu, cv)`` pair) to the next and raises
+``NonFiniteError`` rather than return a non-finite one; the loop reports that
+as :class:`BlowUpError` at the time of the step.
+
 Determinism: given an identical :class:`SimConfig` (including the seed) the
 run is bitwise reproducible.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainGeometry, ModeIndex, ModelParams, rho_table, sigma
+from .core import DomainGeometry, ModeIndex, ModelParams, helmholtz_gain, rho_table, sigma
 from .fitting import pattern_fingerprint
 from .transforms import (
-    SpectralField,
     GridField,
+    NonFiniteError,
+    SpectralField,
     coeffs_to_grid,
     grid_to_coeffs,
     helmholtz_inverse,
+    require_finite,
 )
 
 
 class BlowUpError(RuntimeError):
     """Raised when a simulation produces non-finite or runaway values.
 
-    ``time`` is the model time of the offending state, or None where there is
-    no time axis (standalone :func:`step`), in which case ``message`` says
-    what went wrong.
+    ``time`` is the model time of the first step whose state is non-finite
+    (or of the record whose l2 norm exceeded ``blowup_norm``), or None where
+    there is no time axis (standalone :func:`step`), in which case
+    ``message`` says what went wrong.
     """
 
     def __init__(self, time: float | None, diagnostics: "Diagnostics | None" = None,
@@ -157,9 +164,6 @@ class Diagnostics:
     steady: bool = False
     snapshots: list[tuple[float, GridField]] = field(default_factory=list)
 
-    def series(self, k: ModeIndex) -> np.ndarray:
-        return self.mode_series[k]
-
 
 # ----------------------------------------------------------------------------
 # scalar model
@@ -170,7 +174,7 @@ def _scalar_tables(n1: int, n2: int, geometry: DomainGeometry, params: ModelPara
                    dealias_factor: int):
     table = rho_table(n1, n2, geometry)
     sig = sigma(table, params)
-    gain = 1.0 / (1.0 + table)
+    gain = helmholtz_gain(table, 1.0)
     pad = (dealias_factor * n1, dealias_factor * n2)
     return table, sig, gain, pad
 
@@ -217,53 +221,47 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 class _ScalarStepper:
-    """Exponential-midpoint stepper for the scalar model at fixed dt."""
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        _, sig, _, _ = _scalar_tables(cfg.n1, cfg.n2, cfg.geometry, cfg.params,
-                                      cfg.dealias_factor)
-        dt = cfg.dt
-        self.exp_full = np.exp(sig * dt)
-        self.exp_half = np.exp(sig * dt / 2.0)
-        self.phi_half = _phi1(sig * dt / 2.0)
-
-    def step(self, c: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        if not cfg.nonlinear:
-            return self.exp_full * c
-        u = SpectralField(c, cfg.geometry)
-        n0 = nonlinear_rhs(u, cfg.params, cfg.dealias_factor).coeffs
-        c_half = self.exp_half * c + (cfg.dt / 2.0) * self.phi_half * n0
-        n_half = nonlinear_rhs(SpectralField(c_half, cfg.geometry), cfg.params,
-                               cfg.dealias_factor).coeffs
-        return self.exp_full * c + cfg.dt * self.exp_half * n_half
-
-
-def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
-         nonlinear: bool = True) -> SpectralField:
-    """One exponential-midpoint step of size ``dt`` (standalone form).
+    """Exponential-midpoint stepper for the scalar model at fixed dt.
 
     The linear diagonal part is advanced exactly by exp(sigma_k * dt); the
     nonlinearity enters through a midpoint quadrature of the
     variation-of-constants integral, which is second order.
     """
-    n1, n2 = u.shape
-    _, sig, _, _ = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
-    exp_full = np.exp(sig * dt)
-    if not nonlinear:
-        out = exp_full * u.coeffs
-    else:
-        exp_half = np.exp(sig * dt / 2.0)
-        phi_half = _phi1(sig * dt / 2.0)
-        n0 = nonlinear_rhs(u, p, dealias_factor).coeffs
-        c_half = exp_half * u.coeffs + (dt / 2.0) * phi_half * n0
-        n_half = nonlinear_rhs(SpectralField(c_half, u.geometry), p, dealias_factor).coeffs
-        out = exp_full * u.coeffs + dt * exp_half * n_half
-    if not np.all(np.isfinite(out)):
+
+    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
+                 dt: float, dealias_factor: int, nonlinear: bool):
+        _, sig, _, _ = _scalar_tables(*shape, geometry, params, dealias_factor)
+        self.geometry, self.params, self.dt = geometry, params, dt
+        self.dealias_factor, self.nonlinear = dealias_factor, nonlinear
+        self.exp_full = np.exp(sig * dt)
+        self.exp_half = np.exp(sig * dt / 2.0)
+        self.phi_half = _phi1(sig * dt / 2.0)
+
+    def step(self, c: np.ndarray) -> np.ndarray:
+        out = self.exp_full * c
+        if self.nonlinear:
+            g, p, f, dt = self.geometry, self.params, self.dealias_factor, self.dt
+            n0 = nonlinear_rhs(SpectralField(c, g), p, f).coeffs
+            c_half = self.exp_half * c + (dt / 2.0) * self.phi_half * n0
+            n_half = nonlinear_rhs(SpectralField(c_half, g), p, f).coeffs
+            out = out + dt * self.exp_half * n_half
+        return require_finite(out, "state")
+
+
+def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
+         nonlinear: bool = True) -> SpectralField:
+    """One step of size ``dt`` of the scalar model's exponential-midpoint stepper.
+
+    Raises :class:`BlowUpError`, with no time, when the step or its midpoint
+    produces non-finite values.
+    """
+    stepper = _ScalarStepper(u.shape, u.geometry, p, dt, dealias_factor, nonlinear)
+    try:
+        c = stepper.step(u.coeffs)
+    except NonFiniteError:
         raise BlowUpError(None, message=f"a step of size dt = {dt:g} from the given "
-                                        "state produced non-finite values")
-    return SpectralField(out, u.geometry)
+                                        "state produced non-finite values") from None
+    return SpectralField(c, u.geometry)
 
 
 class _Recorder:
@@ -282,8 +280,6 @@ class _Recorder:
         self._w = w1 * np.where(np.arange(cfg.n2) == 0, 1.0, 0.5)[None, :]
 
     def record(self, t: float, c: np.ndarray) -> None:
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(t, self.finish(c, blown=True))
         self.times.append(t)
         for k in self.record_modes:
             self.series[k].append(float(c[k]))
@@ -309,21 +305,39 @@ class _Recorder:
         rate = abs(l2_now - l2_then) / (max(l2_now, 1e-12) * (t_now - t_then))
         return rate <= cfg.steady_tol
 
-    def finish(self, c: np.ndarray, blown: bool = False) -> Diagnostics:
+    def finish(self, c: np.ndarray, steady: bool = False, blown: bool = False) -> Diagnostics:
         cfg = self.cfg
         (km, kn), (k0, k2n) = cfg.critical_pair
-        y1 = float(c[km, kn]) if np.all(np.isfinite(c)) else math.nan
-        y2 = float(c[k0, k2n]) if np.all(np.isfinite(c)) else math.nan
-        fingerprint = "unresolved" if blown or math.isnan(y1) else \
-            pattern_fingerprint(y1, y2, cfg.noise_floor)
+        fingerprint = "unresolved" if blown else \
+            pattern_fingerprint(float(c[km, kn]), float(c[k0, k2n]), cfg.noise_floor)
         return Diagnostics(
             times=np.asarray(self.times),
             mode_series={k: np.asarray(v) for k, v in self.series.items()},
             l2_series=np.asarray(self.l2),
             final_fingerprint=fingerprint,
-            steady=False,
+            steady=steady,
             snapshots=self.snapshots,
         )
+
+
+def _run(cfg: SimConfig, stepper, state, density):
+    """Step ``state`` to ``t_end``, recording ``density(state)`` at t = 0, every
+    ``record_interval`` and at the last step, and stop early on a steady state.
+    A step that leaves a non-finite state raises :class:`BlowUpError` at its time.
+    """
+    rec = _Recorder(cfg)
+    rec.record(0.0, density(state))
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    for i in range(1, n_steps + 1):
+        try:
+            state = stepper.step(state)
+        except NonFiniteError:
+            raise BlowUpError(i * cfg.dt, rec.finish(density(state), blown=True)) from None
+        if i % rec.every == 0 or i == n_steps:
+            rec.record(i * cfg.dt, density(state))
+            if rec.is_steady():
+                return rec.finish(density(state), steady=True), state
+    return rec.finish(density(state)), state
 
 
 def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
@@ -331,25 +345,14 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
 
     The run stops early once the relative l2 drift per unit time stays below
     ``steady_tol`` across ``steady_window`` (or the field has decayed to the
-    trivial state); blow-up raises :class:`BlowUpError` carrying the partial
-    diagnostics.
+    trivial state).  A step that leaves a non-finite state, or a record whose
+    l2 norm exceeds ``blowup_norm``, raises :class:`BlowUpError` carrying its
+    time and the partial diagnostics.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
-    stepper = _ScalarStepper(cfg)
-    rec = _Recorder(cfg)
-    c = u0.coeffs.copy()
-    rec.record(0.0, c)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    steady = False
-    for i in range(1, n_steps + 1):
-        c = stepper.step(c)
-        if i % rec.every == 0 or i == n_steps:
-            rec.record(i * cfg.dt, c)
-            if rec.is_steady():
-                steady = True
-                break
-    diag = rec.finish(c)
-    diag.steady = steady
+    stepper = _ScalarStepper((cfg.n1, cfg.n2), cfg.geometry, cfg.params, cfg.dt,
+                             cfg.dealias_factor, cfg.nonlinear)
+    diag, c = _run(cfg, stepper, u0.coeffs, lambda c: c)
     return diag, SpectralField(c, cfg.geometry)
 
 
@@ -424,23 +427,19 @@ class _PairStepper:
         E11, E12, E21, E22 = E
         return E11 * u + E12 * v, E21 * u + E22 * v
 
-    def step(self, cu: np.ndarray, cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
-        dt = cfg.dt
-        if cfg.nonlinear:
-            n0 = self._nonlinear(cu, cv)
-        else:
-            n0 = np.zeros_like(cu)
-        pu, pv = self._mat(self.P_half, n0, np.zeros_like(n0))
-        hu, hv = self._mat(self.E_half, cu, cv)
-        hu, hv = hu + (dt / 2.0) * pu, hv + (dt / 2.0) * pv
-        if cfg.nonlinear:
-            n1 = self._nonlinear(hu, hv)
-        else:
-            n1 = n0
+    def step(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        cu, cv = state
         fu, fv = self._mat(self.E_full, cu, cv)
-        gu, gv = self._mat(self.E_half, n1, np.zeros_like(n1))
-        return fu + dt * gu, fv + dt * gv
+        if self.cfg.nonlinear:
+            # the nonlinearity enters the u equation only: (n, 0) blocks
+            dt = self.cfg.dt
+            P11, _, P21, _ = self.P_half
+            E11, _, E21, _ = self.E_half
+            n0 = self._nonlinear(cu, cv)
+            hu, hv = self._mat(self.E_half, cu, cv)
+            n1 = self._nonlinear(hu + (dt / 2.0) * (P11 * n0), hv + (dt / 2.0) * (P21 * n0))
+            fu, fv = fu + dt * (E11 * n1), fv + dt * (E21 * n1)
+        return require_finite(fu, "u"), require_finite(fv, "v")
 
 
 def simulate_full_system(
@@ -450,28 +449,15 @@ def simulate_full_system(
     """Run the two-field model; diagnostics track the cell-density field.
 
     ``v0`` defaults to the quasi-static response lam * (-Lap+1)^(-1) u0, which
-    starts the pair on the slow manifold the scalar model lives on.
+    starts the pair on the slow manifold the scalar model lives on.  Stopping
+    and blow-up are as in :func:`simulate`, with both fields checked.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
-    stepper = _PairStepper(cfg)
     if v0 is None:
         cv = helmholtz_inverse(u0, cfg.params.lam).coeffs
     else:
         if v0.shape != (cfg.n1, cfg.n2):
             raise ValueError("v0 resolution does not match the configuration")
         cv = v0.coeffs.copy()
-    cu = u0.coeffs.copy()
-    rec = _Recorder(cfg)
-    rec.record(0.0, cu)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    steady = False
-    for i in range(1, n_steps + 1):
-        cu, cv = stepper.step(cu, cv)
-        if i % rec.every == 0 or i == n_steps:
-            rec.record(i * cfg.dt, cu)
-            if rec.is_steady():
-                steady = True
-                break
-    diag = rec.finish(cu)
-    diag.steady = steady
+    diag, (cu, cv) = _run(cfg, _PairStepper(cfg), (u0.coeffs, cv), lambda s: s[0])
     return diag, (SpectralField(cu, cfg.geometry), SpectralField(cv, cfg.geometry))

@@ -27,6 +27,17 @@ from scipy.fft import dct
 from .core import DomainGeometry, ModeIndex, rho_table
 
 
+class NonFiniteError(ValueError):
+    """A field or a stepped state holds NaN or infinity."""
+
+
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a``, or raise :class:`NonFiniteError` if an entry is not finite."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"{what} must be finite")
+    return a
+
+
 @dataclass
 class SpectralField:
     """Cosine coefficients (n1, n2) of a real Neumann field on ``geometry``."""
@@ -38,8 +49,7 @@ class SpectralField:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 2:
             raise ValueError("coeffs must be a 2D array")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coeffs must be finite")
+        require_finite(self.coeffs, "coeffs")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -67,8 +77,7 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2D array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
+        require_finite(self.values, "values")
 
 
 def collocation_points(n: int, ell: float) -> np.ndarray:

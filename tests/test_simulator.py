@@ -15,7 +15,14 @@ from chemopattern import (
     step,
 )
 from chemopattern.core import rho, rho_table, sigma
-from chemopattern.simulator import BlowUpError, InitialCondition, SimConfig, _PairStepper
+from chemopattern import simulator
+from chemopattern.simulator import (
+    BlowUpError,
+    InitialCondition,
+    SimConfig,
+    _PairStepper,
+    _ScalarStepper,
+)
 
 from oracles import nonlinear_by_quadrature, pair_nonlinear_by_quadrature
 
@@ -141,15 +148,16 @@ class TestStep:
             assert order >= 1.8
         assert np.mean(orders) == pytest.approx(2.0, abs=0.2)
 
-    def test_overflow_reports_the_step_not_a_time(self):
-        # one mode at the fastest growth rate, with exp(sigma*dt) overflowing
-        # on the full step but not on the half step
+    # one mode at the fastest growth rate, with exp(sigma*dt) overflowing on
+    # the full step only (sigma*dt = 1000), or on the midpoint too (3000)
+    @pytest.mark.parametrize("growth", [1000.0, 3000.0], ids=["full", "half"])
+    def test_overflow_reports_the_step_not_a_time(self, growth):
         p = ModelParams(8.0, 1.0, 19.0)
         sig = sigma(rho_table(32, 32, G), p)
         k = np.unravel_index(np.argmax(sig), sig.shape)
         c = np.zeros((32, 32))
         c[k] = 1e-300
-        dt = 1000.0 / sig[k]
+        dt = growth / sig[k]
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(BlowUpError, match="step of size dt = .* non-finite") as err:
             step(SpectralField(c, G), p, dt)
@@ -242,6 +250,49 @@ class TestSimulate:
             simulate(cfg)
         assert err.value.diagnostics is not None
         assert len(err.value.diagnostics.times) >= 1
+
+    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
+    def test_blow_up_between_records_reports_the_first_non_finite_step(self, run):
+        # records at t = 0, 25, 50 only; the state is first non-finite after
+        # the third step
+        cfg = sim_config(t_end=50.0, dt=0.5, record_interval=25.0,
+                         ic=InitialCondition(kind="modes", modes=(((1, 1), 50.0),)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowUpError, match="blew up at t = 1.5") as err:
+            run(cfg)
+        assert err.value.time == 1.5
+        diag = err.value.diagnostics
+        assert diag.times.tolist() == [0.0]
+        assert diag.final_fingerprint == "unresolved"
+        assert not diag.steady
+
+
+class TestStepperContract:
+    """Every step makes one stepper call and two nonlinear right-hand-side
+    evaluations, through the names the per-layer benchmark trace wraps."""
+
+    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
+    def test_two_rhs_calls_and_one_step_call_per_step(self, monkeypatch, run):
+        counts = {"rhs": 0, "step": 0}
+
+        def count(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        count(simulator, "nonlinear_rhs", "rhs")
+        count(_PairStepper, "_nonlinear", "rhs")
+        count(_ScalarStepper, "step", "step")
+        count(_PairStepper, "step", "step")
+        cfg = sim_config(t_end=1.0, ic=InitialCondition(kind="random", seed=4))
+        diag, _ = run(cfg)
+        steps = int(round(cfg.t_end / cfg.dt))
+        assert diag.times[-1] == pytest.approx(cfg.t_end)
+        assert counts == {"rhs": 2 * steps, "step": steps}
 
 
 class TestFullSystem:
