@@ -215,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
     keys, bad values, duplicates, and missing required keys.
     """
     values: dict[str, dict[str, object]] = {}
-    explicit: set[tuple[str, str]] = set()
+    lines: dict[tuple[str, str], int] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -238,7 +238,7 @@ def parse_config(text: str) -> ExperimentConfig:
         val = val.split("#", 1)[0].strip()
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
-        if (section, key) in explicit:
+        if (section, key) in lines:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
         parser, _ = _TYPES[SCHEMA[section][key][0]]
         try:
@@ -246,7 +246,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
         values[section][key] = parsed
-        explicit.add((section, key))
+        lines[section, key] = lineno
 
     if "experiment" not in values or "kind" not in values["experiment"]:
         raise ConfigError("missing [experiment] section with a 'kind' key")
@@ -262,11 +262,19 @@ def parse_config(text: str) -> ExperimentConfig:
             data[sec][key] = values.get(sec, {}).get(key, default)
 
     cfg = ExperimentConfig(kind=kind, data=data)
-    _validate(cfg, values)
+    _validate(cfg, lines)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, explicit: dict[str, dict[str, object]]) -> None:
+def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
+    """Cross-key checks; ``lines`` maps each explicitly set (section, key) to
+    its line number."""
+    if cfg.kind == "sweep":
+        # the sweep's couplings come from [sweep] lambda_factors and its model
+        # from [model] mu and alpha; anything else would be silently ignored
+        for (sec, key), lineno in lines.items():
+            if sec == "physical" or (sec, key) in (("model", "lambda"), ("model", "lambda_factor")):
+                raise ConfigError(f"[{sec}] {key} is not used by kind = sweep", lineno)
     model = cfg.data["model"]
     if model["lambda"] is not None and model["lambda_factor"] is not None:
         raise ConfigError("[model] lambda and lambda_factor are mutually exclusive")
@@ -281,7 +289,7 @@ def _validate(cfg: ExperimentConfig, explicit: dict[str, dict[str, object]]) -> 
         missing = [k for k, v in phys.items() if v is None]
         if missing:
             raise ConfigError(f"[physical] is incomplete: missing {', '.join(missing)}")
-        if "model" in explicit and explicit["model"]:
+        if any(sec == "model" for sec, _ in lines):
             raise ConfigError("[physical] and [model] are mutually exclusive")
         bad = [k for k, v in phys.items() if v <= 0]
         if bad:

@@ -15,7 +15,10 @@ Two integrators live here, sharing the spatial machinery of
   cubic products are formed on a grid padded by ``dealias_factor`` (2 is
   exact for a cubic nonlinearity), with gradient products rewritten through
   grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
-  syntheses of the fields and their Laplacians are needed.
+  syntheses of the fields and their Laplacians are needed.  The syntheses of
+  one right-hand side are stacked into one batched transform, and so are its
+  two analyses, each running in place in a padded workspace that the
+  thread reuses across calls (see :func:`_workspace`).
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -38,6 +41,7 @@ run is bitwise reproducible.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -195,8 +199,9 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> 
         (lam/2)*(w*Lap(u) - u*Lap(w)) - 3*alpha*u^2 - alpha*u^3 - (lam/2)*Lap(uw),
 
     with Lap(w) = w - u.  Only u, w and Lap(u) are synthesized on the padded
-    grid; the pointwise part and the product uw are projected back to the base
-    resolution, where Lap(uw) is the exact diagonal multiplication by -rho_k.
+    grid, in one batched call; the pointwise part and the product uw are
+    projected back to the base resolution in another, and Lap(uw) is then the
+    exact diagonal multiplication by -rho_k.
     """
     if dealias_factor < 2:
         raise ValueError("dealias_factor must be >= 2 for the cubic nonlinearity")
@@ -204,13 +209,29 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> 
     table, _, gain, pad = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
     lam, alpha = p.lam, p.alpha
     c = u.coeffs
-    U = coeffs_to_grid(c, pad)
-    W = coeffs_to_grid(gain * c, pad)
-    LapU = coeffs_to_grid(-table * c, pad)
+    U, W, LapU = coeffs_to_grid(np.stack((c, gain * c, -table * c)), pad, out=_workspace(3, pad))
     LapW = W - U
-    g = 0.5 * lam * (W * LapU - U * LapW) - 3.0 * alpha * U * U - alpha * U * U * U
-    uw = grid_to_coeffs(U * W, (n1, n2))
-    return SpectralField(grid_to_coeffs(g, (n1, n2)) + 0.5 * lam * table * uw, u.geometry)
+    prod = _workspace(2, pad)
+    prod[0] = 0.5 * lam * (W * LapU - U * LapW) - 3.0 * alpha * U * U - alpha * U * U * U
+    np.multiply(U, W, out=prod[1])
+    g, uw = grid_to_coeffs(prod, (n1, n2), overwrite=True)
+    return SpectralField(g + 0.5 * lam * table * uw, u.geometry)
+
+
+_workspaces = threading.local()
+
+
+def _workspace(batch: int, pad: tuple[int, int]) -> np.ndarray:
+    """This thread's reused (batch, *pad) scratch grid for the right-hand sides.
+
+    Its contents are only valid until the next right-hand side in the same
+    thread, so nothing a right-hand side returns may alias it.
+    """
+    arrays = _workspaces.__dict__.setdefault("arrays", {})
+    key = (batch, pad)
+    if key not in arrays:
+        arrays[key] = np.empty((batch, *pad))
+    return arrays[key]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -248,6 +269,12 @@ class _ScalarStepper:
         return require_finite(out, "state")
 
 
+@lru_cache(maxsize=16)
+def _cached_scalar_stepper(shape, geometry, params, dt, dealias_factor, nonlinear):
+    """Standalone :func:`step` calls with equal arguments share one stepper."""
+    return _ScalarStepper(shape, geometry, params, dt, dealias_factor, nonlinear)
+
+
 def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
          nonlinear: bool = True) -> SpectralField:
     """One step of size ``dt`` of the scalar model's exponential-midpoint stepper.
@@ -255,7 +282,7 @@ def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
     Raises :class:`BlowUpError`, with no time, when the step or its midpoint
     produces non-finite values.
     """
-    stepper = _ScalarStepper(u.shape, u.geometry, p, dt, dealias_factor, nonlinear)
+    stepper = _cached_scalar_stepper(u.shape, u.geometry, p, dt, dealias_factor, nonlinear)
     try:
         c = stepper.step(u.coeffs)
     except NonFiniteError:
@@ -414,13 +441,14 @@ class _PairStepper:
         """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, through the
         product identity as in :func:`nonlinear_rhs`."""
         cfg = self.cfg
-        alpha, shape = cfg.params.alpha, (cfg.n1, cfg.n2)
-        U = coeffs_to_grid(cu, self.pad)
-        V = coeffs_to_grid(cv, self.pad)
-        LapU = coeffs_to_grid(-self.table * cu, self.pad)
-        LapV = coeffs_to_grid(-self.table * cv, self.pad)
-        nu = 0.5 * (V * LapU - U * LapV) - 3.0 * alpha * U * U - alpha * U * U * U
-        return grid_to_coeffs(nu, shape) + 0.5 * self.table * grid_to_coeffs(U * V, shape)
+        alpha, pad, table = cfg.params.alpha, self.pad, self.table
+        U, V, LapU, LapV = coeffs_to_grid(np.stack((cu, cv, -table * cu, -table * cv)), pad,
+                                          out=_workspace(4, pad))
+        prod = _workspace(2, pad)
+        prod[0] = 0.5 * (V * LapU - U * LapV) - 3.0 * alpha * U * U - alpha * U * U * U
+        np.multiply(U, V, out=prod[1])
+        nu, uv = grid_to_coeffs(prod, (cfg.n1, cfg.n2), overwrite=True)
+        return nu + 0.5 * table * uv
 
     @staticmethod
     def _mat(E, u, v):

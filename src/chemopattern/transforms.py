@@ -15,6 +15,14 @@ exact for the dealiased product.  Synthesis accepts a target grid shape and
 analysis a truncation shape, so nonlinear terms can be formed on a padded
 (dealiased) grid; both skip the transform passes over rows and columns known
 to be zero or discarded.
+
+Both transforms act on the last two axes and treat any leading axes as a
+batch, so all the fields of one right-hand side go through one ``dct`` call
+per axis.  Synthesis runs its passes in place in a caller's ``out`` array and
+analysis, with ``overwrite``, in place in its input, so a caller that reuses
+those arrays allocates no grid-sized memory per call.  Results are always the
+arrays ``dct`` returns, whether or not it worked in place, and are bitwise
+equal to one call per field.
 """
 
 from __future__ import annotations
@@ -85,33 +93,50 @@ def collocation_points(n: int, ell: float) -> np.ndarray:
     return (np.arange(n) + 0.5) * ell / n
 
 
-def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Cosine analysis: point values on the midpoint grid -> coefficients,
-    truncated to ``shape`` (<= grid shape; default: the full grid)."""
-    m1, m2 = values.shape
+def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None,
+                   overwrite: bool = False) -> np.ndarray:
+    """Cosine analysis over the last two axes (leading axes are a batch):
+    point values on the midpoint grid -> coefficients, truncated to ``shape``
+    (<= grid shape; default: the full grid).
+
+    With ``overwrite`` the first pass runs in place in ``values`` and the
+    result may be a view of it; otherwise ``values`` is left untouched.
+    """
+    m1, m2 = values.shape[-2:]
     n1, n2 = shape if shape is not None else (m1, m2)
     if n1 > m1 or n2 > m2:
         raise ValueError(f"truncation {n1}x{n2} larger than grid {m1}x{m2}")
-    c = dct(dct(values, type=2, axis=0)[:n1], type=2, axis=1)[:, :n2]
+    rows = dct(values, type=2, axis=-2, overwrite_x=overwrite)[..., :n1, :]
+    c = dct(rows, type=2, axis=-1, overwrite_x=True)[..., :n2]
     c /= (2.0 * m1) * (2.0 * m2)
-    c[1:, :] *= 2.0
-    c[:, 1:] *= 2.0
+    c[..., 1:, :] *= 2.0
+    c[..., :, 1:] *= 2.0
     return c
 
 
-def coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Cosine synthesis on a grid of ``shape`` (>= coefficient shape)."""
-    n1, n2 = coeffs.shape
+def coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Cosine synthesis over the last two axes (leading axes are a batch) on a
+    grid of ``shape`` (>= coefficient shape).
+
+    Both passes run in place in ``out`` (default: a fresh array), which is
+    overwritten entirely; the result is the array the second pass returns,
+    normally ``out`` itself.
+    """
+    n1, n2 = coeffs.shape[-2:]
     m1, m2 = shape if shape is not None else (n1, n2)
     if m1 < n1 or m2 < n2:
         raise ValueError(f"target grid {m1}x{m2} smaller than coefficients {n1}x{n2}")
-    p = np.zeros((m1, n2))
-    p[:n1] = coeffs
-    p[1:, :] *= 0.5
-    p[:, 1:] *= 0.5
-    g = np.zeros((m1, m2))
-    g[:, :n2] = dct(p, type=3, axis=0)
-    return dct(g, type=3, axis=1)
+    if out is None:
+        out = np.empty(coeffs.shape[:-2] + (m1, m2))
+    out[..., :n1, :n2] = coeffs
+    out[..., 1:n1, :n2] *= 0.5
+    out[..., :n1, 1:n2] *= 0.5
+    out[..., n1:, :n2] = 0.0
+    out[..., n2:] = 0.0
+    # numpy skips the copy when dct returned the same memory
+    out[..., :n2] = dct(out[..., :n2], type=3, axis=-2, overwrite_x=True)
+    return dct(out, type=3, axis=-1, overwrite_x=True)
 
 
 def transform_forward(g: GridField) -> SpectralField:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,18 @@ class TestParsing:
     def test_randomized_kind_requires_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("[experiment]\nkind = sweep\n")
+
+    # the sweep sets its couplings from [sweep] lambda_factors and its model
+    # from [model] mu and alpha, so these keys would be silently ignored
+    @pytest.mark.parametrize("section, entry, key", [
+        ("physical", "d1 = 8", "[physical] d1"),
+        ("model", "lambda = 18", "[model] lambda"),
+        ("model", "lambda_factor = 1.1", "[model] lambda_factor"),
+    ])
+    def test_sweep_rejects_keys_it_ignores(self, section, entry, key):
+        text = f"[experiment]\nkind = sweep\nseed = 1\n[{section}]\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"line 5: {re.escape(key)} is not used by kind = sweep"):
+            parse_config(text)
 
     def test_mode_seeded_simulation_needs_no_seed(self):
         cfg = parse_config("[experiment]\nkind = simulate\n[simulation]\nic_kind = modes\n"

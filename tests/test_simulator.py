@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from chemopattern import (
     step,
 )
 from chemopattern.core import rho, rho_table, sigma
+from chemopattern.transforms import transform_inverse
 from chemopattern import simulator
 from chemopattern.simulator import (
     BlowUpError,
@@ -115,6 +118,51 @@ class TestNonlinearRhs:
         with pytest.raises(ValueError, match="dealias"):
             nonlinear_rhs(single_mode(1, 1), P, dealias_factor=1)
 
+    def test_results_do_not_alias_the_workspace(self):
+        # the padded grids are reused across calls; earlier results must not change
+        rng = np.random.default_rng(24)
+        fields = []
+        for _ in range(3):
+            c = np.zeros((32, 32))
+            c[:6, :6] = rng.uniform(-0.2, 0.2, size=(6, 6))
+            fields.append(SpectralField(c, G))
+        pair = _PairStepper(sim_config())
+        first = [nonlinear_rhs(u, P).coeffs for u in fields[:2]]
+        first += [pair._nonlinear(fields[0].coeffs, fields[1].coeffs)]
+        kept = [a.copy() for a in first]
+        nonlinear_rhs(fields[2], P)
+        pair._nonlinear(fields[2].coeffs, fields[0].coeffs)
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+
+    def test_threads_do_not_share_the_workspace(self):
+        rng = np.random.default_rng(25)
+        fields = []
+        for _ in range(4):
+            c = np.zeros((32, 32))
+            c[:6, :6] = rng.uniform(-0.2, 0.2, size=(6, 6))
+            fields.append(SpectralField(c, G))
+        expected = [nonlinear_rhs(u, P).coeffs for u in fields]
+        mismatches = []
+
+        def work(i):
+            for _ in range(25):
+                if not np.array_equal(nonlinear_rhs(fields[i], P).coeffs, expected[i]):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
 
 class TestStep:
     def test_zero_fixed_point(self):
@@ -163,6 +211,27 @@ class TestStep:
             step(SpectralField(c, G), p, dt)
         assert err.value.time is None
         assert "blew up at t" not in str(err.value)
+
+    def test_repeated_calls_share_one_stepper(self, monkeypatch):
+        built = []
+        init = _ScalarStepper.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        simulator._cached_scalar_stepper.cache_clear()
+        monkeypatch.setattr(_ScalarStepper, "__init__", counting_init)
+        c0 = np.zeros((32, 32))
+        c0[1, 1], c0[0, 2] = 0.05, 0.03
+        u = SpectralField(c0, G)
+        for _ in range(20):
+            u = step(u, P, 0.05)
+        assert len(built) == 1
+        c = c0
+        for _ in range(20):
+            c = _ScalarStepper((32, 32), G, P, 0.05, 2, True).step(c)
+        assert np.array_equal(u.coeffs, c)
 
 
 def sim_config(**kw):
@@ -243,6 +312,15 @@ class TestSimulate:
         assert len(diag.l2_series) == n
         assert all(len(v) == n for v in diag.mode_series.values())
 
+    def test_snapshots_keep_their_values_while_the_run_continues(self):
+        ic = InitialCondition(kind="random", seed=9, amplitude=0.05)
+        diag, _ = simulate(sim_config(t_end=10.0, snapshot_times=(0.0, 5.0), ic=ic))
+        _, at5 = simulate(sim_config(t_end=5.0, ic=ic))
+        u0 = ic.build(32, 32, G)
+        assert [t for t, _ in diag.snapshots] == [0.0, 5.0]
+        assert np.array_equal(diag.snapshots[0][1].values, transform_inverse(u0).values)
+        assert np.array_equal(diag.snapshots[1][1].values, transform_inverse(at5).values)
+
     def test_blow_up_reported_with_partial_diagnostics(self):
         cfg = sim_config(t_end=50.0, dt=0.5,
                          ic=InitialCondition(kind="modes", modes=(((1, 1), 50.0),)))
@@ -269,11 +347,12 @@ class TestSimulate:
 
 class TestStepperContract:
     """Every step makes one stepper call and two nonlinear right-hand-side
-    evaluations, through the names the per-layer benchmark trace wraps."""
+    evaluations, and every right-hand side one batched synthesis and one
+    batched analysis, through the names the per-layer benchmark trace wraps."""
 
-    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
-    def test_two_rhs_calls_and_one_step_call_per_step(self, monkeypatch, run):
-        counts = {"rhs": 0, "step": 0}
+    @staticmethod
+    def count_calls(monkeypatch, run, targets):
+        counts = {key: 0 for _, _, key in targets}
 
         def count(owner, attr, key):
             original = getattr(owner, attr)
@@ -284,15 +363,27 @@ class TestStepperContract:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        count(simulator, "nonlinear_rhs", "rhs")
-        count(_PairStepper, "_nonlinear", "rhs")
-        count(_ScalarStepper, "step", "step")
-        count(_PairStepper, "step", "step")
+        for target in targets:
+            count(*target)
         cfg = sim_config(t_end=1.0, ic=InitialCondition(kind="random", seed=4))
         diag, _ = run(cfg)
-        steps = int(round(cfg.t_end / cfg.dt))
         assert diag.times[-1] == pytest.approx(cfg.t_end)
+        return counts, int(round(cfg.t_end / cfg.dt))
+
+    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
+    def test_two_rhs_calls_and_one_step_call_per_step(self, monkeypatch, run):
+        counts, steps = self.count_calls(monkeypatch, run, [
+            (simulator, "nonlinear_rhs", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
+            (_ScalarStepper, "step", "step"), (_PairStepper, "step", "step")])
         assert counts == {"rhs": 2 * steps, "step": steps}
+
+    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
+    def test_one_synthesis_and_one_analysis_per_rhs_call(self, monkeypatch, run):
+        counts, steps = self.count_calls(monkeypatch, run, [
+            (simulator, "nonlinear_rhs", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
+            (simulator, "coeffs_to_grid", "synthesis"),
+            (simulator, "grid_to_coeffs", "analysis")])
+        assert counts == {"rhs": 2 * steps, "synthesis": 2 * steps, "analysis": 2 * steps}
 
 
 class TestFullSystem:

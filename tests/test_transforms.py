@@ -108,6 +108,28 @@ class TestPrunedTransforms:
             grid_to_coeffs(np.zeros((16, 16)), (32, 16))
 
 
+class TestBatchedTransforms:
+    # a leading batch axis, a reused workspace and in-place analysis must not
+    # change a single bit against one plain call per field
+    @pytest.mark.parametrize("base, grid", [((32, 32), (64, 64)), ((64, 64), (128, 128)),
+                                            ((32, 64), (64, 128))])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_bitwise_equal_to_per_field(self, base, grid, batch):
+        rng = np.random.default_rng(100 * batch + grid[1])
+        c = rng.normal(size=(batch, *base))
+        expected = np.stack([coeffs_to_grid(ci, grid) for ci in c])
+        assert np.array_equal(coeffs_to_grid(c, grid), expected)
+        # a stale workspace: every entry must be overwritten
+        assert np.array_equal(coeffs_to_grid(c, grid, out=np.full((batch, *grid), np.nan)), expected)
+
+        values = rng.normal(size=(batch, *grid))
+        kept = values.copy()
+        expected = np.stack([grid_to_coeffs(v, base) for v in values])
+        assert np.array_equal(grid_to_coeffs(values, base), expected)
+        assert np.array_equal(values, kept)
+        assert np.array_equal(grid_to_coeffs(values, base, overwrite=True), expected)
+
+
 class TestHelmholtz:
     def test_mean_mode_fixed(self):
         c = np.zeros((8, 8))
