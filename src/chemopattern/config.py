@@ -12,6 +12,7 @@ byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 EXPERIMENT_KINDS = (
@@ -178,6 +179,16 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 #: kinds whose default initial data is randomized, making a seed mandatory
 _RANDOMIZED_KINDS = ("simulate", "simulate-full", "sweep", "verify-theorem1", "verify-theorem2")
 
+#: sections or (section, key) pairs a kind sets itself and would silently
+#: ignore: sweep cells take geometry, coupling and grids from [sweep], and
+#: verify-theorem2 perturbs the resonant point by [verify] amounts
+_WORKING_POINT_KEYS = ("physical", ("model", "lambda"), ("model", "lambda_factor"),
+                       ("geometry", "ell1"), ("geometry", "ell2"), ("geometry", "ell2_factor"))
+_SET_BY_KIND = {
+    "sweep": _WORKING_POINT_KEYS + ("simulation",),
+    "verify-theorem2": _WORKING_POINT_KEYS,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -269,12 +280,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
     """Cross-key checks; ``lines`` maps each explicitly set (section, key) to
     its line number."""
-    if cfg.kind == "sweep":
-        # the sweep's couplings come from [sweep] lambda_factors and its model
-        # from [model] mu and alpha; anything else would be silently ignored
-        for (sec, key), lineno in lines.items():
-            if sec == "physical" or (sec, key) in (("model", "lambda"), ("model", "lambda_factor")):
-                raise ConfigError(f"[{sec}] {key} is not used by kind = sweep", lineno)
+    set_by_kind = _SET_BY_KIND.get(cfg.kind, ())
+    for (sec, key), lineno in lines.items():
+        if sec in set_by_kind or (sec, key) in set_by_kind:
+            raise ConfigError(f"[{sec}] {key} is not used by kind = {cfg.kind}", lineno)
     model = cfg.data["model"]
     if model["lambda"] is not None and model["lambda_factor"] is not None:
         raise ConfigError("[model] lambda and lambda_factor are mutually exclusive")
@@ -297,6 +306,11 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
     geo = cfg.data["geometry"]
     if (geo["ell1"] is None) != (geo["ell2"] is None):
         raise ConfigError("[geometry] ell1 and ell2 must be given together")
+    m, n = geo["m"], geo["n"]
+    if geo["ell1"] is None and (m < 1 or n < 1 or math.gcd(m, n) != 1):
+        key = "n" if m >= 1 and n < 1 else "m"  # the one that is set and wrong
+        raise ConfigError(f"[geometry] (m, n) = ({m}, {n}) must be coprime and >= 1 "
+                          "when ell1 and ell2 are not given", lines.get(("geometry", key)))
     if cfg.data["simulation"]["ic_kind"] not in ("random", "modes"):
         raise ConfigError(f"[simulation] ic_kind must be 'random' or 'modes', "
                           f"got {cfg.data['simulation']['ic_kind']!r}")

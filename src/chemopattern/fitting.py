@@ -115,7 +115,7 @@ def fit_slaving(diag, m: int, n: int, t_min: float = 25.0,
     c1 = float(got["c00_1"]) if "c00_1" in got else None
     c2 = float(got["c00_2"]) if "c00_2" in got else None
     for name, val in (("c00_1", c1), ("c00_2", c2)):
-        if val is None and f"{name}" not in " ".join(degenerate):
+        if val is None:
             degenerate.append(name)
 
     def ratio_fit(design: np.ndarray, target: np.ndarray) -> float | None:

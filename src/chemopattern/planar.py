@@ -77,18 +77,13 @@ def integrate(
     dt: float,
     t_end: float,
     equilibria_list: list[EquilibriumPoint] | None = None,
-    blowup: float = DEFAULT_BLOWUP,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    fixed_step: bool = False,
 ) -> Trajectory:
     """Integrate the truncated field from ``y0``, sampling every ``dt``.
 
-    The default integrator is an adaptive embedded 4(5) Runge-Kutta pair with
-    local tolerance ~1e-10; ``fixed_step`` switches to classical RK4 at step
-    ``dt`` for bitwise reproducibility.  Integration stops early on blow-up
-    (norm above ``blowup``) or once the state is inside the capture radius of
-    a known equilibrium with residual speed below tolerance.
+    The integrator is an adaptive embedded 4(5) Runge-Kutta pair with local
+    tolerance ~1e-10.  Integration stops early on blow-up (norm above
+    ``DEFAULT_BLOWUP``) or once the state is inside the capture radius of a
+    known equilibrium with residual speed below tolerance.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -105,27 +100,6 @@ def integrate(
     def rhs(_t, y):
         return reduced_vector_field(y, rc)
 
-    n_samples = int(round(t_end / dt))
-    if fixed_step:
-        y = y0.copy()
-        t = 0.0
-        for _ in range(n_samples):
-            k1 = rhs(t, y)
-            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-            k4 = rhs(t + dt, y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += dt
-            times.append(t)
-            states.append(y.copy())
-            if np.linalg.norm(y) > blowup:
-                diverged = True
-                break
-            terminal = _match_equilibrium(y, rc, equilibria_list, radius)
-            if terminal is not None:
-                break
-        return Trajectory(np.array(times), np.array(states), terminal, diverged)
-
     # chunked adaptive integration so capture/blow-up checks stay cheap
     chunk = max(dt, min(t_end / 20.0, 50.0))
     t = 0.0
@@ -135,7 +109,7 @@ def integrate(
         t_eval = np.arange(t + dt, t1 + dt / 2, dt)
         if len(t_eval) == 0:
             t_eval = np.array([t1])
-        sol = solve_ivp(rhs, (t, t1), y, method="RK45", rtol=rtol, atol=atol,
+        sol = solve_ivp(rhs, (t, t1), y, method="RK45", rtol=1e-10, atol=1e-12,
                         t_eval=t_eval, dense_output=False)
         if not sol.success:
             # step collapse in a polynomial field means finite-time blow-up;
@@ -151,7 +125,7 @@ def integrate(
         for tk, yk in zip(sol.t, sol.y.T):
             times.append(float(tk))
             states.append(yk.copy())
-            if np.linalg.norm(yk) > blowup:
+            if np.linalg.norm(yk) > DEFAULT_BLOWUP:
                 diverged = True
                 break
             terminal = _match_equilibrium(yk, rc, equilibria_list, radius)

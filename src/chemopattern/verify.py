@@ -40,7 +40,6 @@ from .reduction import (
     equilibria,
     transition_type,
 )
-from .reduction import ReducedCoefficients
 from .reports import VerificationReport
 from .simulator import InitialCondition, SimConfig, simulate, simulate_full_system
 from .transforms import transform_inverse
@@ -50,12 +49,17 @@ from .transforms import transform_inverse
 # configuration resolution
 # ----------------------------------------------------------------------------
 
-def resolve_setup(cfg: ExperimentConfig) -> tuple[ModelParams, DomainGeometry, CriticalData, int, int]:
-    """Build (params, geometry, critical data, m, n) from a configuration.
+def resolve_setup(cfg: ExperimentConfig, ell2_factor: float | None = None,
+                  lambda_factor: float | None = None,
+                  ) -> tuple[ModelParams, DomainGeometry, CriticalData, int, int]:
+    """Build (params, geometry, critical data, m, n) from a configuration;
+    every experiment kind resolves its working point here.
 
-    The geometry defaults to the resonant rectangle of (m, n), optionally
-    scaled by ``ell2_factor`` (ratio preserved); the coupling defaults to
-    ``lambda_factor`` times the critical coupling of that geometry.
+    The geometry is ``[geometry] ell1``/``ell2``, or else the resonant
+    rectangle of (m, n) scaled by ``ell2_factor`` (ratio preserved).  The
+    coupling is ``[model] lambda`` or the ``[physical]`` block's, or else
+    ``lambda_factor`` times the critical coupling of that geometry.  Either
+    factor, when given as an argument, replaces the configured one.
     """
     phys = cfg.data["physical"]
     model = cfg.data["model"]
@@ -72,30 +76,30 @@ def resolve_setup(cfg: ExperimentConfig) -> tuple[ModelParams, DomainGeometry, C
         geometry = DomainGeometry(geo["ell1"], geo["ell2"])
     else:
         g0 = make_critical_geometry(m, n, base)
-        s = geo["ell2_factor"]
+        s = geo["ell2_factor"] if ell2_factor is None else ell2_factor
         geometry = DomainGeometry(g0.ell1 * s, g0.ell2 * s)
     crit = lambda_critical(base, geometry, geo["k_max"])
-    if lam_explicit is not None:
-        lam = lam_explicit
-    else:
-        factor = model["lambda_factor"] if model["lambda_factor"] is not None else 1.0
-        lam = crit.lambda_c * factor
+    if lambda_factor is None:
+        lambda_factor = model["lambda_factor"] if model["lambda_factor"] is not None else 1.0
+    lam = lam_explicit if lam_explicit is not None else crit.lambda_c * lambda_factor
     return ModelParams(mu=mu, alpha=alpha, lam=lam), geometry, crit, m, n
 
 
-def _out_path(cfg: ExperimentConfig, out_dir: str | None, name: str) -> str:
+def _write(cfg: ExperimentConfig, out_dir: str | None, files: dict[str, str]) -> dict[str, str]:
+    """Write each ``name: text`` in order under the output directory;
+    returns ``name: path`` in the same order."""
     base = out_dir or cfg.out_dir or "."
-    return os.path.join(base, name)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = os.path.join(base, name)
+        write_text(paths[name], text)
+    return paths
 
 
-def _lambda_for_sigma(crit: CriticalData, p: ModelParams, sig: float) -> float:
+def _lambda_for_sigma(crit: CriticalData, sig: float) -> float:
     """Coupling at which the critical modes grow at rate ``sig``."""
     r = crit.rho_star
     return crit.lambda_c + sig * (1.0 + r) / r
-
-
-def _reduced(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry, m: int, n: int) -> ReducedCoefficients:
-    return cubic_coefficients(p, g, m, n, convention=cfg.convention)
 
 
 # ----------------------------------------------------------------------------
@@ -133,18 +137,13 @@ def run_linear(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, s
             rows.append("\t".join(cells))
     table_text = "\n".join(rows) + "\n"
 
-    paths = {}
-    for name, text in (("linear_critical.tsv", crit_text), ("linear_sigma.tsv", table_text)):
-        path = _out_path(cfg, out_dir, name)
-        write_text(path, text)
-        paths[name] = path
-    return paths
+    return _write(cfg, out_dir, {"linear_critical.tsv": crit_text, "linear_sigma.tsv": table_text})
 
 
 def run_reduce(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
     """Reduced coefficients (both conventions), equilibria, transition verdict."""
     p, g, crit, m, n = resolve_setup(cfg)
-    rc = _reduced(cfg, p, g, m, n)
+    rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
     lines = ["quantity\tvalue"]
     for name, val in [
         ("sigma1", rc.sigma1), ("sigma2", rc.sigma2), ("a_q", rc.frak_a),
@@ -168,18 +167,14 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, s
         ]))
     eq_text = "\n".join(eq_rows) + "\n"
 
-    paths = {}
-    for name, text in (("reduce_coefficients.tsv", coeff_text), ("reduce_equilibria.tsv", eq_text)):
-        path = _out_path(cfg, out_dir, name)
-        write_text(path, text)
-        paths[name] = path
-    return paths
+    return _write(cfg, out_dir, {"reduce_coefficients.tsv": coeff_text,
+                                 "reduce_equilibria.tsv": eq_text})
 
 
 def run_ode(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
     """Planar trajectory, basin survey, and attractor graph for the reduced system."""
     p, g, crit, m, n = resolve_setup(cfg)
-    rc = _reduced(cfg, p, g, m, n)
+    rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
     o = cfg.data["ode"]
     traj = integrate(rc, (o["y0_1"], o["y0_2"]), o["dt"], o["t_end"])
     survey = basin_survey(rc, o["ray_radius"], o["n_rays"], t_end=o["t_end"], dt=o["dt"])
@@ -202,14 +197,9 @@ def run_ode(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]
     for note in desc.notes:
         graph_rows.append(f"note\t{note}")
 
-    paths = {}
-    for name, text in (("ode_trajectory.tsv", trajectory_text(traj)),
-                       ("ode_basins.tsv", "\n".join(basin_rows) + "\n"),
-                       ("ode_attractor.tsv", "\n".join(graph_rows) + "\n")):
-        path = _out_path(cfg, out_dir, name)
-        write_text(path, text)
-        paths[name] = path
-    return paths
+    return _write(cfg, out_dir, {"ode_trajectory.tsv": trajectory_text(traj),
+                                 "ode_basins.tsv": "\n".join(basin_rows) + "\n",
+                                 "ode_attractor.tsv": "\n".join(graph_rows) + "\n"})
 
 
 def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
@@ -238,20 +228,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None,
         diag, (final, _v) = simulate_full_system(sim_cfg)
     else:
         diag, final = simulate(sim_cfg)
-    paths = {}
-    path = _out_path(cfg, out_dir, "series.tsv")
-    write_text(path, series_text(diag))
-    paths["series.tsv"] = path
+    files = {"series.tsv": series_text(diag)}
     for t, snap in diag.snapshots:
-        name = f"snapshot_t{fmt(t)}.txt"
-        path = _out_path(cfg, out_dir, name)
-        write_text(path, snapshot_text(snap, t))
-        paths[name] = path
+        files[f"snapshot_t{fmt(t)}.txt"] = snapshot_text(snap, t)
     # the terminal state is always available, even when steady-state exit
     # ends the run before later requested snapshot times
-    path = _out_path(cfg, out_dir, "snapshot_final.txt")
-    write_text(path, snapshot_text(transform_inverse(final), diag.times[-1]))
-    paths["snapshot_final.txt"] = path
+    files["snapshot_final.txt"] = snapshot_text(transform_inverse(final), diag.times[-1])
     (km, kn), (k0, k2n) = sim_cfg.critical_pair
     summary = [
         "quantity\tvalue",
@@ -264,10 +246,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None,
         f"lambda\t{fmt(p.lam)}",
         f"lambda_c\t{fmt(crit.lambda_c)}",
     ]
-    path = _out_path(cfg, out_dir, "summary.tsv")
-    write_text(path, "\n".join(summary) + "\n")
-    paths["summary.tsv"] = path
-    return paths
+    files["summary.tsv"] = "\n".join(summary) + "\n"
+    return _write(cfg, out_dir, files)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
@@ -277,12 +257,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, st
     recorded in the status column and do not stop the sweep.  Reruns with the
     same configuration and seed are byte-identical.
     """
-    base_model = cfg.data["model"]
-    mu, alpha = base_model["mu"], base_model["alpha"]
-    geo = cfg.data["geometry"]
-    m, n = geo["m"], geo["n"]
     sw = cfg.data["sweep"]
-    base_geom = make_critical_geometry(m, n, ModelParams(mu, alpha, 1.0))
     header = ("geometry_factor\tlambda_factor\tlambda_c\tcritical_modes\trho_star\t"
               "a_q\tb1_formula\tb2_formula\tb1_paper\tb2_paper\tn_equilibria\t"
               "fingerprint\tstatus")
@@ -292,10 +267,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, st
         for lf in sw["lambda_factors"]:
             cell += 1
             try:
-                g = DomainGeometry(base_geom.ell1 * gf, base_geom.ell2 * gf)
-                crit = lambda_critical(ModelParams(mu, alpha, 1.0), g, geo["k_max"])
-                lam = crit.lambda_c * lf
-                p = ModelParams(mu, alpha, lam)
+                p, g, crit, m, n = resolve_setup(cfg, gf, lf)
                 rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
                 try:
                     n_eq = len([e for e in equilibria(rc) if e.pattern_class != "trivial"])
@@ -317,9 +289,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, st
             except Exception as exc:  # per-cell failures recorded, sweep continues
                 rows.append("\t".join([fmt(gf), fmt(lf)] + [""] * 10
                                       + [f"error:{type(exc).__name__}:{exc}"]))
-    path = _out_path(cfg, out_dir, "sweep_atlas.tsv")
-    write_text(path, "\n".join(rows) + "\n")
-    return {"sweep_atlas.tsv": path}
+    return _write(cfg, out_dir, {"sweep_atlas.tsv": "\n".join(rows) + "\n"})
 
 
 def _modes_str(modes) -> str:
@@ -369,7 +339,7 @@ def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
     v = cfg.data["verify"]
     runs = []
     for sig in sigmas:
-        lam = _lambda_for_sigma(crit, p_base, sig)
+        lam = _lambda_for_sigma(crit, sig)
         p = ModelParams(p_base.mu, p_base.alpha, lam)
         if branch == "roll":
             modes = (((0, 2 * n), 1e-3),)
@@ -408,16 +378,10 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
     coefficient arbitration by saturation fits.
     """
     rep = VerificationReport("verification: degenerate critical point")
-    p0, g, crit, m, n = resolve_setup(cfg)
     v = cfg.data["verify"]
-    model = cfg.data["model"]
-    if model["lambda"] is not None:
-        lam_work = model["lambda"]
-    elif model["lambda_factor"] is not None:
-        lam_work = crit.lambda_c * model["lambda_factor"]
-    else:
-        lam_work = crit.lambda_c * v["lambda_factor"]
-    p = ModelParams(p0.mu, p0.alpha, lam_work)
+    factor = cfg.get("model", "lambda_factor")
+    p, g, crit, m, n = resolve_setup(
+        cfg, lambda_factor=v["lambda_factor"] if factor is None else factor)
 
     if abs(p.mu - 8.0 * p.alpha) > 1e-12 * p.mu:
         rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", False,
@@ -432,7 +396,7 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
             _modes_str(crit.critical_modes), "set equality",
             crit.critical_modes == frozenset({(m, n), (0, 2 * n)}))
 
-    lam_factor = lam_work / crit.lambda_c
+    lam_factor = p.lam / crit.lambda_c
     p_c = ModelParams(p.mu, p.alpha, crit.lambda_c)
     rc_c = cubic_coefficients(p_c, g, m, n, convention=cfg.convention)
     rep.add("quadratic coefficient a_q = 0", "0", fmt(rc_c.frak_a), "abs 1e-12",
@@ -549,7 +513,7 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
         y2 = final.mode((0, 2 * n))
         # amplitudes are compared against the coefficients evaluated at the
         # working coupling, the best prediction the reduction offers
-        eqs_local = equilibria(_reduced(cfg, p, g, m, n))
+        eqs_local = equilibria(cubic_coefficients(p, g, m, n, convention=cfg.convention))
         mism, cls = _nearest_amplitude_mismatch(y1, y2, eqs_local)
         rep.add_numeric(f"amplitude match to nearest equilibrium ({cls})", 0.0, mism,
                         0.15, note=f"terminal (y1, y2) = ({fmt(y1)}, {fmt(y2)})")
@@ -579,16 +543,7 @@ def run_verify_theorem2(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
     """
     rep = VerificationReport("verification: perturbed critical point")
     v = cfg.data["verify"]
-    model = cfg.data["model"]
-    geo = cfg.data["geometry"]
-    mu, alpha = model["mu"], model["alpha"]
-    m, n = geo["m"], geo["n"]
-    base = make_critical_geometry(m, n, ModelParams(mu, alpha, 1.0))
-    s = 1.0 + v["ell2_perturb"]
-    g = DomainGeometry(base.ell1 * s, base.ell2 * s)
-    crit = lambda_critical(ModelParams(mu, alpha, 1.0), g, geo["k_max"])
-    lam = crit.lambda_c * (1.0 + v["lambda_perturb"])
-    p = ModelParams(mu, alpha, lam)
+    p, g, _crit, m, n = resolve_setup(cfg, 1.0 + v["ell2_perturb"], 1.0 + v["lambda_perturb"])
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
 
     rep.add("quadratic coefficient nonzero", "a_q != 0", fmt(rc.frak_a), "nonzero",
@@ -655,5 +610,5 @@ def run_verify_theorem2(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
 
 def _write_report(cfg: ExperimentConfig, out_dir: str | None,
                   rep: VerificationReport, tag: str) -> None:
-    write_text(_out_path(cfg, out_dir, f"verify_{tag}_report.txt"), rep.to_table())
-    write_text(_out_path(cfg, out_dir, f"verify_{tag}_report.tsv"), rep.to_tsv())
+    _write(cfg, out_dir, {f"verify_{tag}_report.txt": rep.to_table(),
+                          f"verify_{tag}_report.tsv": rep.to_tsv()})

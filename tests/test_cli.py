@@ -74,6 +74,12 @@ class TestCliBasics:
         assert rc == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_non_coprime_modes_are_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "mn.cfg", "[experiment]\nkind = linear\n[geometry]\nm = 2\nn = 2\n")
+        assert main(["linear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line 4: [geometry] (m, n) = (2, 2) must be coprime" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")

@@ -17,6 +17,10 @@ MINIMAL_LINEAR = """
 kind = linear
 """
 
+WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
+                         ("model", "lambda_factor = 1.1"), ("geometry", "ell1 = 4"),
+                         ("geometry", "ell2 = 7"), ("geometry", "ell2_factor = 1.5")]
+
 
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
@@ -82,17 +86,39 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("[experiment]\nkind = sweep\n")
 
-    # the sweep sets its couplings from [sweep] lambda_factors and its model
-    # from [model] mu and alpha, so these keys would be silently ignored
-    @pytest.mark.parametrize("section, entry, key", [
-        ("physical", "d1 = 8", "[physical] d1"),
-        ("model", "lambda = 18", "[model] lambda"),
-        ("model", "lambda_factor = 1.1", "[model] lambda_factor"),
-    ])
-    def test_sweep_rejects_keys_it_ignores(self, section, entry, key):
-        text = f"[experiment]\nkind = sweep\nseed = 1\n[{section}]\n{entry}\n"
-        with pytest.raises(ConfigError, match=rf"line 5: {re.escape(key)} is not used by kind = sweep"):
+    # sweep and verify-theorem2 set their own geometry and coupling, and the
+    # sweep its own grids, so these keys would be silently ignored
+    @pytest.mark.parametrize("kind, section, entry", [
+        (kind, section, entry)
+        for kind in ("sweep", "verify-theorem2") for section, entry in WORKING_POINT_ENTRIES
+    ] + [("sweep", "simulation", "n1 = 64"), ("sweep", "simulation", "dt = 0.05")])
+    def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
+        key = f"[{section}] {entry.partition(' =')[0]}"
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"line 5: {re.escape(key)} is not used by kind = {kind}"):
             parse_config(text)
+
+    def test_other_kinds_accept_working_point_keys(self):
+        cfg = parse_config("[experiment]\nkind = verify-theorem2\nseed = 1\n"
+                           "[model]\nmu = 9\n[geometry]\nm = 2\nk_max = 16\n")
+        assert (cfg.get("model", "mu"), cfg.get("geometry", "m")) == (9.0, 2)
+        cfg = parse_config("[experiment]\nkind = verify-theorem1\nseed = 1\n"
+                           "[model]\nlambda = 18.5\n[geometry]\nell2_factor = 1.5\n")
+        assert (cfg.get("model", "lambda"), cfg.get("geometry", "ell2_factor")) == (18.5, 1.5)
+
+    @pytest.mark.parametrize("geometry, line", [
+        ("m = 2\nn = 4", 5), ("m = 3\nn = 3", 5), ("n = 0", 5), ("m = 0\nn = 2", 5),
+        ("m = 1\nn = 0", 6),
+    ])
+    def test_resonant_rectangle_needs_coprime_modes(self, geometry, line):
+        text = f"[experiment]\nkind = sweep\nseed = 1\n[geometry]\n{geometry}\n"
+        with pytest.raises(ConfigError, match=rf"^line {line}: \[geometry\] \(m, n\) = .* must be coprime"):
+            parse_config(text)
+
+    def test_explicit_geometry_allows_any_modes(self):
+        cfg = parse_config("[experiment]\nkind = linear\n[geometry]\nm = 2\nn = 2\n"
+                           "ell1 = 4\nell2 = 7\n")
+        assert (cfg.get("geometry", "m"), cfg.get("geometry", "n")) == (2, 2)
 
     def test_mode_seeded_simulation_needs_no_seed(self):
         cfg = parse_config("[experiment]\nkind = simulate\n[simulation]\nic_kind = modes\n"

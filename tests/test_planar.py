@@ -91,9 +91,9 @@ class TestIntegrate:
         assert traj.diverged
         assert traj.terminal_equilibrium is None
 
-    def test_fixed_step_bitwise_reproducible(self, rc_super):
-        a = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0, fixed_step=True)
-        b = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0, fixed_step=True)
+    def test_adaptive_bitwise_reproducible(self, rc_super):
+        a = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)
+        b = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)
         assert np.array_equal(a.states, b.states)
 
     def test_terminal_residual_bound(self, rc_super):

@@ -1,6 +1,7 @@
 import pytest
 
 from chemopattern.config import parse_config
+from chemopattern.core import DomainGeometry, ModelParams, lambda_critical, make_critical_geometry
 from chemopattern.verify import (
     resolve_setup,
     run_linear,
@@ -38,6 +39,30 @@ class TestResolveSetup:
         _, g, _, _, _ = resolve_setup(cfg)
         assert (g.ell1, g.ell2) == (4.0, 7.0)
 
+    def test_overrides_give_the_perturbed_working_point_bitwise(self):
+        # the perturbed working point, written out without resolve_setup
+        cfg = parse_config(cfg_text("verify-theorem2"))
+        p, g, crit, m, n = resolve_setup(cfg, 1.01, 1.01)
+        base = make_critical_geometry(1, 1, ModelParams(8.0, 1.0, 1.0))
+        s = 1.0 + 0.01
+        g_want = DomainGeometry(base.ell1 * s, base.ell2 * s)
+        crit_want = lambda_critical(ModelParams(8.0, 1.0, 1.0), g_want, 32)
+        lam_want = crit_want.lambda_c * (1.0 + 0.01)
+        assert (g.ell1, g.ell2) == (g_want.ell1, g_want.ell2)
+        assert crit.lambda_c == crit_want.lambda_c
+        assert (p.mu, p.alpha, p.lam, m, n) == (8.0, 1.0, lam_want, 1, 1)
+
+    def test_overrides_replace_the_configured_factors_only(self):
+        cfg = parse_config(cfg_text(
+            "linear", "[model]\nlambda_factor = 1.5\n[geometry]\nell2_factor = 2\n"))
+        p, g, crit, _, _ = resolve_setup(cfg, 1.0, 1.0)
+        assert p.lam == crit.lambda_c
+        g0 = make_critical_geometry(1, 1, ModelParams(8.0, 1.0, 1.0))
+        assert (g.ell1, g.ell2) == (g0.ell1, g0.ell2)
+        # an explicit coupling is not a factor and stays
+        cfg = parse_config(cfg_text("linear", "[model]\nlambda = 18.5\n"))
+        assert resolve_setup(cfg, 1.0, 1.02)[0].lam == 18.5
+
 
 class TestVerifyTheorem1Paths:
     def test_violated_diffusion_hypothesis_short_circuits(self, tmp_path):
@@ -57,6 +82,20 @@ class TestVerifyTheorem1Paths:
         assert not any("equilibria" in n for n in names)
         assert any("skipped" in p for p in rep.provenance)
         # the analytic checks all pass on this path
+        assert rep.overall
+
+    def test_physical_block_sets_the_working_coupling(self, tmp_path):
+        # r1*chi = 17.64 below lambda_c = 18: the suite must run at that
+        # coupling, not at [verify] lambda_factor times lambda_c
+        extra = ("[physical]\nd1 = 8\nd2 = 1\nchi = 1\nr1 = 17.64\nr2 = 1\n"
+                 "alpha1 = 1\nalpha2 = 1\n"
+                 "[verify]\nsigma_list =\nsigma_list_hex =\nskip_pde = true\n"
+                 "slaving_t_end = 10\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n")
+        rep = run_verify_theorem1(parse_config(cfg_text("verify-theorem1", extra)), str(tmp_path))
+        names = [c.name for c in rep.checks]
+        assert "coupling at or below critical: supercritical checks skipped by design" \
+            in rep.provenance
+        assert not any("equilibria" in n for n in names)
         assert rep.overall
 
     def test_stage_failures_are_recorded_not_raised(self, tmp_path):
