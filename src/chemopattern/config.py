@@ -190,6 +190,12 @@ _SET_BY_KIND = {
 }
 
 
+def _set_by_kind(kind: str, section: str, key: str) -> bool:
+    """Whether ``kind`` sets [section] key itself, so a config may not."""
+    keys = _SET_BY_KIND.get(kind, ())
+    return section in keys or (section, key) in keys
+
+
 @dataclass
 class ExperimentConfig:
     """A fully resolved configuration: every schema key has a value (possibly
@@ -280,9 +286,8 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
     """Cross-key checks; ``lines`` maps each explicitly set (section, key) to
     its line number."""
-    set_by_kind = _SET_BY_KIND.get(cfg.kind, ())
     for (sec, key), lineno in lines.items():
-        if sec in set_by_kind or (sec, key) in set_by_kind:
+        if _set_by_kind(cfg.kind, sec, key):
             raise ConfigError(f"[{sec}] {key} is not used by kind = {cfg.kind}", lineno)
     model = cfg.data["model"]
     if model["lambda"] is not None and model["lambda_factor"] is not None:
@@ -325,10 +330,11 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form of a resolved configuration (the normal form)."""
+    """Canonical text form (the normal form), without the keys the kind sets itself."""
     lines: list[str] = []
     for sec in SCHEMA:
-        keys = [k for k in SCHEMA[sec] if cfg.data[sec][k] is not None]
+        keys = [k for k in SCHEMA[sec]
+                if cfg.data[sec][k] is not None and not _set_by_kind(cfg.kind, sec, k)]
         if not keys:
             continue
         lines.append(f"[{sec}]")

@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from chemopattern.cli import main
+from chemopattern.config import parse_config, serialize_config
 
 RUN = [sys.executable, "-m", "chemopattern.cli"]
 
@@ -57,6 +60,15 @@ class TestCliBasics:
         dumped = capsys.readouterr().out
         assert "kind = linear" in dumped
         assert "k_max = 6" in dumped
+
+    @pytest.mark.parametrize("kind", ["sweep", "verify-theorem2"])
+    def test_dumped_config_parses_again(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "k.cfg", f"[experiment]\nkind = {kind}\nseed = 5\n"
+                    "[geometry]\nm = 2\nk_max = 12\n")
+        assert main([kind, "--config", cfg, "--dump-config"]) == 0
+        dumped = capsys.readouterr().out
+        assert serialize_config(parse_config(dumped)) == dumped
+        assert "k_max = 12" in dumped
 
     def test_kind_mismatch_fails(self, tmp_path, capsys):
         cfg = write(tmp_path / "lin.cfg", LINEAR_CFG)

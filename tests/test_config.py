@@ -7,6 +7,8 @@ from chemopattern.config import (
     ConfigError,
     SCHEMA,
     _TYPES,
+    EXPERIMENT_KINDS,
+    _set_by_kind,
     parse_config,
     serialize_config,
 )
@@ -139,18 +141,19 @@ class TestRoundTrip:
         assert text1 == text2
 
     def test_serialize_parse_idempotent_generated(self):
-        # 50 random configurations drawn from the schema
+        # 80 random configurations drawn from the schema, 10 of each kind,
+        # without the keys a kind sets itself (parsing rejects those)
         rng = np.random.default_rng(17)
-        kinds = ("linear", "reduce", "ode", "simulate")
-        for trial in range(50):
-            kind = kinds[trial % len(kinds)]
-            lines = ["[experiment]", f"kind = {kind}"]
+        parsed = dict.fromkeys(EXPERIMENT_KINDS, 0)
+        for trial in range(80):
+            kind = EXPERIMENT_KINDS[trial % len(EXPERIMENT_KINDS)]
+            lines = ["[experiment]", f"kind = {kind}", "seed = 1"]
             for sec, keys in SCHEMA.items():
                 if sec in ("experiment", "physical") or rng.random() < 0.4:
                     continue
                 entries = []
                 for key, (tname, default) in keys.items():
-                    if rng.random() < 0.6:
+                    if rng.random() < 0.6 or _set_by_kind(kind, sec, key):
                         continue
                     if tname == "float":
                         entries.append(f"{key} = {rng.uniform(0.5, 4.0):.6g}")
@@ -166,9 +169,18 @@ class TestRoundTrip:
                 cfg = parse_config("\n".join(lines) + "\n")
             except ConfigError:
                 continue  # randomly generated combinations may violate cross-field rules
+            parsed[kind] += 1
             text1 = serialize_config(cfg)
             text2 = serialize_config(parse_config(text1))
             assert text1 == text2
+        assert min(parsed.values()) >= 3, parsed
+
+    @pytest.mark.parametrize("kind", ["sweep", "verify-theorem2"])
+    def test_defaults_of_keys_a_kind_sets_are_not_written(self, kind):
+        text = serialize_config(parse_config(f"[experiment]\nkind = {kind}\nseed = 3\n"))
+        assert "ell2_factor" not in text
+        assert ("[simulation]" in text) == (kind != "sweep")
+        assert serialize_config(parse_config(text)) == text
 
     def test_all_schema_types_have_formatters(self):
         for sec, keys in SCHEMA.items():
