@@ -47,9 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {("experiment", "seed"): args.seed, ("experiment", "out"): args.out,
+             ("experiment", "coefficient_convention"): args.coefficient_convention}
     try:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            cfg = parse_config(fh.read(), {k: v for k, v in flags.items() if v is not None})
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -60,12 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: config kind {cfg.kind!r} does not match subcommand {args.command!r}",
               file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.set("experiment", "seed", args.seed)
-    if args.coefficient_convention is not None:
-        cfg.set("experiment", "coefficient_convention", args.coefficient_convention)
-    if args.out is not None:
-        cfg.set("experiment", "out", args.out)
     if args.dump_config:
         print(serialize_config(cfg), end="")
         return 0
@@ -83,12 +79,9 @@ def main(argv: list[str] | None = None) -> int:
             paths = run_simulate(cfg, full_system=True)
         elif cfg.kind == "sweep":
             paths = run_sweep(cfg)
-        elif cfg.kind == "verify-theorem1":
-            rep = run_verify_theorem1(cfg)
-            print(rep.to_table(), end="")
-            return 0 if rep.overall else 1
         else:
-            rep = run_verify_theorem2(cfg)
+            run = run_verify_theorem1 if cfg.kind == "verify-theorem1" else run_verify_theorem2
+            rep = run(cfg)
             print(rep.to_table(), end="")
             return 0 if rep.overall else 1
     except ConfigError as exc:

@@ -179,15 +179,14 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 #: kinds whose default initial data is randomized, making a seed mandatory
 _RANDOMIZED_KINDS = ("simulate", "simulate-full", "sweep", "verify-theorem1", "verify-theorem2")
 
-#: sections or (section, key) pairs a kind sets itself and would silently
-#: ignore: sweep cells take geometry, coupling and grids from [sweep], and
+#: sections or (section, key) pairs a kind sets itself or never reads, and
+#: would silently ignore: only simulate and simulate-full read [simulation],
+#: sweep cells take geometry, coupling and grids from [sweep], and
 #: verify-theorem2 perturbs the resonant point by [verify] amounts
 _WORKING_POINT_KEYS = ("physical", ("model", "lambda"), ("model", "lambda_factor"),
                        ("geometry", "ell1"), ("geometry", "ell2"), ("geometry", "ell2_factor"))
-_SET_BY_KIND = {
-    "sweep": _WORKING_POINT_KEYS + ("simulation",),
-    "verify-theorem2": _WORKING_POINT_KEYS,
-}
+_SET_BY_KIND = {kind: ("simulation",) + (_WORKING_POINT_KEYS if kind in ("sweep", "verify-theorem2") else ())
+                for kind in EXPERIMENT_KINDS if kind not in ("simulate", "simulate-full")}
 
 
 def _set_by_kind(kind: str, section: str, key: str) -> bool:
@@ -225,11 +224,13 @@ class ExperimentConfig:
         return self.data["experiment"]["coefficient_convention"]
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[tuple[str, str], object] | None = None) -> ExperimentConfig:
     """Parse and validate configuration text; fills defaults.
 
-    Raises :class:`ConfigError` (with a line number) on unknown sections or
-    keys, bad values, duplicates, and missing required keys.
+    ``overrides`` maps (section, key) to a value that replaces the text's
+    before validation (the command-line flags).  Raises :class:`ConfigError`
+    (with a line number) on unknown sections or keys, bad values, duplicates,
+    and missing required keys.
     """
     values: dict[str, dict[str, object]] = {}
     lines: dict[tuple[str, str], int] = {}
@@ -277,6 +278,8 @@ def parse_config(text: str) -> ExperimentConfig:
         data[sec] = {}
         for key, (_t, default) in keys.items():
             data[sec][key] = values.get(sec, {}).get(key, default)
+    for (sec, key), value in (overrides or {}).items():
+        data[sec][key] = value
 
     cfg = ExperimentConfig(kind=kind, data=data)
     _validate(cfg, lines)
@@ -327,6 +330,9 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
         and cfg.data["simulation"]["ic_kind"] == "modes")
     if randomized and cfg.seed is None:
         raise ConfigError(f"experiment kind {cfg.kind!r} is randomized; [experiment] seed is required")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"[experiment] seed must be >= 0, got {cfg.seed}",
+                          lines.get(("experiment", "seed")))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -29,6 +29,9 @@ MINIMIZER_RTOL = 1e-9
 #: Default per-axis search cutoff for the discrete minimization.
 DEFAULT_K_MAX = 32
 
+#: Growth rates within this of zero, relative to the coupling scale, have sign 0.
+PES_ZERO_TOL = 1e-10
+
 
 class SearchBoundaryError(RuntimeError):
     """The discrete minimizer touched the search boundary; enlarge ``k_max``."""
@@ -171,7 +174,7 @@ def lambda_critical(p: ModelParams, g: DomainGeometry, k_max: int = DEFAULT_K_MA
         raise ValueError("k_max must be >= 1")
     table = rho_table(k_max + 1, k_max + 1, g)
     with np.errstate(divide="ignore"):
-        env = (table + 1.0) * (p.mu * table + 2.0 * p.alpha) / table
+        env = lambda_envelope(table, p)
     env[0, 0] = np.inf
     lam_c = float(env.min())
     ks = np.argwhere(env <= lam_c * (1.0 + MINIMIZER_RTOL))
@@ -195,20 +198,19 @@ def pes_classification(
     p: ModelParams,
     g: DomainGeometry,
     k_max: int = DEFAULT_K_MAX,
-    zero_tol: float = 1e-10,
 ) -> dict[ModeIndex, int]:
     """Sign of the growth rate for every nonzero mode with k1, k2 <= k_max.
 
     Exchange of stability: below the critical coupling every sign is -1; at
     it the critical modes read 0 and the rest stay -1; just above it exactly
     the critical modes turn +1 (further above, more modes cross as the
-    coupling passes their own neutral values).  ``zero_tol`` absorbs rounding
-    in |sigma| relative to the coupling scale.
+    coupling passes their own neutral values).  ``PES_ZERO_TOL`` absorbs
+    rounding in |sigma| relative to the coupling scale.
     """
     crit = lambda_critical(p, g, k_max)  # validates the search box
     table = rho_table(k_max + 1, k_max + 1, g)
     sig = sigma(table, p)
-    tol = zero_tol * max(1.0, abs(p.lam), crit.lambda_c)
+    tol = PES_ZERO_TOL * max(1.0, abs(p.lam), crit.lambda_c)
     out: dict[ModeIndex, int] = {}
     for k1 in range(k_max + 1):
         for k2 in range(k_max + 1):

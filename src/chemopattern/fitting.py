@@ -15,6 +15,10 @@ import numpy as np
 
 SATURATION_BRANCHES = ("roll", "rectangle", "hexagon")
 
+#: Relative tolerance on |y1/y2| = 2 for a sample to count as ratio-locked
+#: onto the hexagon branch.
+HEXAGON_RATIO_RTOL = 0.05
+
 
 class FitDegenerateError(RuntimeError):
     """The regression columns have no usable dynamic range."""
@@ -64,8 +68,7 @@ class SlavingFit:
     degenerate: tuple[str, ...] = ()
 
 
-def fit_slaving(diag, m: int, n: int, t_min: float = 25.0,
-                t_max: float | None = None) -> SlavingFit:
+def fit_slaving(diag, m: int, n: int, t_min: float = 25.0) -> SlavingFit:
     """Least-squares fit of slaved amplitudes against quadratic monomials.
 
     ``diag`` must carry series for the critical pair (m, n), (0, 2n) and the
@@ -76,8 +79,6 @@ def fit_slaving(diag, m: int, n: int, t_min: float = 25.0,
     """
     t = np.asarray(diag.times)
     sel = t >= t_min
-    if t_max is not None:
-        sel &= t <= t_max
     if sel.sum() < 8:
         raise FitDegenerateError("too few samples past the relaxation window")
 
@@ -189,8 +190,7 @@ def fit_saturation(runs, branch: str) -> SaturationFit:
     return SaturationFit(branch, slope, c, name, value)
 
 
-def branch_steady_amplitude(diag, m: int, n: int, branch: str,
-                            ratio_tol: float = 0.05) -> float:
+def branch_steady_amplitude(diag, m: int, n: int, branch: str) -> float:
     """Extract the steady (or plateau) amplitude of an invariant-branch run.
 
     For rolls/rectangles the branch axis is exactly invariant and the last
@@ -210,7 +210,7 @@ def branch_steady_amplitude(diag, m: int, n: int, branch: str,
         raise ValueError(f"unknown branch {branch!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(y2) > 1e-14, y1 / y2, np.inf)
-    locked = np.abs(np.abs(ratio) - 2.0) <= ratio_tol * 2.0
+    locked = np.abs(np.abs(ratio) - 2.0) <= HEXAGON_RATIO_RTOL * 2.0
     if not np.any(locked):
         raise BranchError("trajectory never ratio-locked onto the hexagon branch")
     amp = np.abs(y2)

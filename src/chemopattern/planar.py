@@ -37,6 +37,9 @@ DEFAULT_BLOWUP = 1e3
 #: Shooting offset along unstable eigendirections.
 SHOOT_OFFSET = 1e-6
 
+#: Time horizon of each shot along an unstable eigendirection.
+SHOOT_T_END = 20000.0
+
 
 @dataclass
 class Trajectory:
@@ -173,7 +176,7 @@ class AttractorDescriptor:
     notes: list[str] = field(default_factory=list)
 
 
-def attractor_graph(rc: ReducedCoefficients, t_end: float = 20000.0) -> AttractorDescriptor:
+def attractor_graph(rc: ReducedCoefficients) -> AttractorDescriptor:
     """Shoot both unstable separatrices of every saddle and build the ring graph.
 
     ``is_circle`` is set when the eight nontrivial equilibria alternate
@@ -201,7 +204,7 @@ def attractor_graph(rc: ReducedCoefficients, t_end: float = 20000.0) -> Attracto
         targets = [q for q in eq_list if q is not e]  # a shoot must leave its source
         for sgn in (+1.0, -1.0):
             y0 = np.array(e.y) + sgn * SHOOT_OFFSET * v
-            traj = integrate(rc, y0, 1.0, t_end, equilibria_list=targets)
+            traj = integrate(rc, y0, 1.0, SHOOT_T_END, equilibria_list=targets)
             tgt = traj.terminal_equilibrium
             if tgt is None or tgt.pattern_class == "trivial":
                 notes.append(f"unstable manifold of {e.y} (sign {sgn:+.0f}) unresolved")

@@ -49,6 +49,12 @@ DEGENERATE_ATOL = 1e-10
 #: marginal.
 MARGINAL_TOL = 1e-10
 
+#: Iteration cap of the damped Newton polish of equilibrium seeds.
+NEWTON_MAX_ITER = 60
+
+#: A type-1 transition needs |a_q| below this times sqrt(|b1| * sigma-scale).
+TYPE1_SMALLNESS = 0.1
+
 
 class ResonanceError(ValueError):
     """A slaved mode has (near-)zero growth rate; the reduction is invalid."""
@@ -217,15 +223,12 @@ def cubic_coefficients(
     fb2 = 4.0 * b2_q * kappa2 - 0.375 * a_c - 0.75 * p.alpha
     pb1 = -21.0 / 80.0 * p.mu
     pb2 = -57.0 / 128.0 * p.mu
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    use_formula = convention == "formula"
     return ReducedCoefficients(
         sigma1=sigma(r1, p),
         sigma2=sigma(r2, p),
         frak_a=quadratic_coefficient(p, r1),
-        frak_b1=fb1 if use_formula else pb1,
-        frak_b2=fb2 if use_formula else pb2,
+        frak_b1=fb1,
+        frak_b2=fb2,
         a_c=a_c,
         b1_q=b1_q,
         b2_q=b2_q,
@@ -241,8 +244,7 @@ def cubic_coefficients(
         frak_b2_formula=fb2,
         frak_b1_paper=pb1,
         frak_b2_paper=pb2,
-        convention=convention,
-    )
+    ).with_convention(convention)
 
 
 def slaved_modes(y1: float, y2: float, rc: ReducedCoefficients) -> dict[ModeIndex, float]:
@@ -285,12 +287,11 @@ def _amplitude_scale(rc: ReducedCoefficients) -> float:
     return max(math.sqrt(s / b), 1e-6)
 
 
-def classify_pattern(y1: float, y2: float, rc: ReducedCoefficients, tol: float | None = None) -> str:
+def classify_pattern(y1: float, y2: float, rc: ReducedCoefficients) -> str:
     """Exact-structure pattern class of an equilibrium (not the coarse
     simulation fingerprint): roll has y1 = 0, rectangle y2 = 0, hexagon the
     locked ratio y1 = +-2*y2, anything else with both components is mixed."""
-    if tol is None:
-        tol = 1e-8 * max(_amplitude_scale(rc), abs(y1), abs(y2))
+    tol = 1e-8 * max(_amplitude_scale(rc), abs(y1), abs(y2))
     if abs(y1) <= tol and abs(y2) <= tol:
         return "trivial"
     if abs(y1) <= tol:
@@ -381,12 +382,12 @@ def _closed_form_points(rc: ReducedCoefficients) -> list[tuple[float, float]]:
     return pts
 
 
-def _newton_polish(y0, rc: ReducedCoefficients, max_iter: int = 60) -> tuple[float, float] | None:
+def _newton_polish(y0, rc: ReducedCoefficients) -> tuple[float, float] | None:
     """Damped Newton iteration on the truncated field; None on failure."""
     y = np.array(y0, dtype=float)
     tol = RESIDUAL_RTOL * max(rc.scale, 1.0)
     f = reduced_vector_field(y, rc)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         nf = np.linalg.norm(f)
         if nf <= 0.1 * tol:
             return float(y[0]), float(y[1])
@@ -473,7 +474,7 @@ def equilibria(rc: ReducedCoefficients) -> list[EquilibriumPoint]:
     return out
 
 
-def transition_type(rc: ReducedCoefficients, smallness: float = 0.1) -> str:
+def transition_type(rc: ReducedCoefficients) -> str:
     """Transition verdict at this coefficient set.
 
     ``type-1`` (continuous: a small-amplitude local attractor branches off)
@@ -489,7 +490,7 @@ def transition_type(rc: ReducedCoefficients, smallness: float = 0.1) -> str:
         return "not-classified"
     sig_scale = max(rc.sigma1, rc.sigma2)
     if sig_scale > 0:
-        a_small = abs(rc.frak_a) <= smallness * math.sqrt(abs(rc.frak_b1) * sig_scale)
+        a_small = abs(rc.frak_a) <= TYPE1_SMALLNESS * math.sqrt(abs(rc.frak_b1) * sig_scale)
     else:
         a_small = abs(rc.frak_a) <= 1e-10 * max(abs(rc.frak_b1), 1.0)
     return "type-1" if a_small else "not-classified"

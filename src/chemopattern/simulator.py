@@ -60,11 +60,15 @@ from .transforms import (
 )
 
 
+#: A record whose l2 norm exceeds this counts as a blow-up.
+BLOWUP_NORM = 1e6
+
+
 class BlowUpError(RuntimeError):
     """Raised when a simulation produces non-finite or runaway values.
 
     ``time`` is the model time of the first step whose state is non-finite
-    (or of the record whose l2 norm exceeded ``blowup_norm``), or None where
+    (or of the record whose l2 norm exceeded ``BLOWUP_NORM``), or None where
     there is no time axis (standalone :func:`step`), in which case
     ``message`` says what went wrong.
     """
@@ -74,6 +78,10 @@ class BlowUpError(RuntimeError):
         super().__init__(message or f"simulation blew up at t = {time:g}")
         self.time = time
         self.diagnostics = diagnostics
+
+    def __reduce__(self):
+        # the default would pass the formatted message back in as ``time``
+        return type(self), (self.time, self.diagnostics, str(self))
 
 
 @dataclass(frozen=True)
@@ -125,14 +133,12 @@ class SimConfig:
     ic: InitialCondition = field(default_factory=InitialCondition)
     mode_m: int = 1
     mode_n: int = 1
-    record_modes: tuple[ModeIndex, ...] = ()
     record_interval: float = 1.0
     snapshot_times: tuple[float, ...] = ()
     nonlinear: bool = True
     noise_floor: float = 1e-3
     steady_tol: float = 1e-8
     steady_window: float = 50.0
-    blowup_norm: float = 1e6
 
     def __post_init__(self) -> None:
         if not (_is_pow2(self.n1) and _is_pow2(self.n2)) or self.n1 < 32 or self.n2 < 32:
@@ -269,20 +275,17 @@ class _ScalarStepper:
         return require_finite(out, "state")
 
 
-@lru_cache(maxsize=16)
-def _cached_scalar_stepper(shape, geometry, params, dt, dealias_factor, nonlinear):
-    """Standalone :func:`step` calls with equal arguments share one stepper."""
-    return _ScalarStepper(shape, geometry, params, dt, dealias_factor, nonlinear)
+#: Standalone :func:`step` calls with equal arguments share one stepper.
+_cached_scalar_stepper = lru_cache(maxsize=16)(_ScalarStepper)
 
 
-def step(u: SpectralField, p: ModelParams, dt: float, dealias_factor: int = 2,
-         nonlinear: bool = True) -> SpectralField:
+def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) -> SpectralField:
     """One step of size ``dt`` of the scalar model's exponential-midpoint stepper.
 
     Raises :class:`BlowUpError`, with no time, when the step or its midpoint
     produces non-finite values.
     """
-    stepper = _cached_scalar_stepper(u.shape, u.geometry, p, dt, dealias_factor, nonlinear)
+    stepper = _cached_scalar_stepper(u.shape, u.geometry, p, dt, 2, nonlinear)
     try:
         c = stepper.step(u.coeffs)
     except NonFiniteError:
@@ -296,10 +299,9 @@ class _Recorder:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.record_modes = cfg.record_modes or cfg.default_record_modes()
         self.every = max(1, int(round(cfg.record_interval / cfg.dt)))
         self.times: list[float] = []
-        self.series: dict[ModeIndex, list[float]] = {k: [] for k in self.record_modes}
+        self.series: dict[ModeIndex, list[float]] = {k: [] for k in cfg.default_record_modes()}
         self.l2: list[float] = []
         self.snapshots: list[tuple[float, GridField]] = []
         self._snap_left = sorted(cfg.snapshot_times)
@@ -308,11 +310,11 @@ class _Recorder:
 
     def record(self, t: float, c: np.ndarray) -> None:
         self.times.append(t)
-        for k in self.record_modes:
-            self.series[k].append(float(c[k]))
+        for k, series in self.series.items():
+            series.append(float(c[k]))
         l2 = float(np.sqrt(np.sum(self._w * c * c)))
         self.l2.append(l2)
-        if l2 > self.cfg.blowup_norm:
+        if l2 > BLOWUP_NORM:
             raise BlowUpError(t, self.finish(c, blown=True))
         while self._snap_left and t >= self._snap_left[0] - 0.5 * self.cfg.dt:
             self._snap_left.pop(0)
@@ -373,7 +375,7 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
     The run stops early once the relative l2 drift per unit time stays below
     ``steady_tol`` across ``steady_window`` (or the field has decayed to the
     trivial state).  A step that leaves a non-finite state, or a record whose
-    l2 norm exceeds ``blowup_norm``, raises :class:`BlowUpError` carrying its
+    l2 norm exceeds ``BLOWUP_NORM``, raises :class:`BlowUpError` carrying its
     time and the partial diagnostics.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
@@ -470,22 +472,15 @@ class _PairStepper:
         return require_finite(fu, "u"), require_finite(fv, "v")
 
 
-def simulate_full_system(
-    cfg: SimConfig,
-    v0: SpectralField | None = None,
-) -> tuple[Diagnostics, tuple[SpectralField, SpectralField]]:
+def simulate_full_system(cfg: SimConfig) -> tuple[Diagnostics, tuple[SpectralField, SpectralField]]:
     """Run the two-field model; diagnostics track the cell-density field.
 
-    ``v0`` defaults to the quasi-static response lam * (-Lap+1)^(-1) u0, which
-    starts the pair on the slow manifold the scalar model lives on.  Stopping
-    and blow-up are as in :func:`simulate`, with both fields checked.
+    The chemoattractant starts at the quasi-static response
+    lam * (-Lap+1)^(-1) u0, which puts the pair on the slow manifold the
+    scalar model lives on.  Stopping and blow-up are as in :func:`simulate`,
+    with both fields checked.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
-    if v0 is None:
-        cv = helmholtz_inverse(u0, cfg.params.lam).coeffs
-    else:
-        if v0.shape != (cfg.n1, cfg.n2):
-            raise ValueError("v0 resolution does not match the configuration")
-        cv = v0.coeffs.copy()
+    cv = helmholtz_inverse(u0, cfg.params.lam).coeffs
     diag, (cu, cv) = _run(cfg, _PairStepper(cfg), (u0.coeffs, cv), lambda s: s[0])
     return diag, (SpectralField(cu, cfg.geometry), SpectralField(cv, cfg.geometry))

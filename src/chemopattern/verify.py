@@ -44,6 +44,8 @@ from .reports import VerificationReport
 from .simulator import InitialCondition, SimConfig, simulate, simulate_full_system
 from .transforms import transform_inverse
 
+#: A fitted coefficient matches a convention's candidate within this relative distance.
+ARBITRATION_RTOL = 0.10
 
 # ----------------------------------------------------------------------------
 # configuration resolution
@@ -85,13 +87,12 @@ def resolve_setup(cfg: ExperimentConfig, ell2_factor: float | None = None,
     return ModelParams(mu=mu, alpha=alpha, lam=lam), geometry, crit, m, n
 
 
-def _write(cfg: ExperimentConfig, out_dir: str | None, files: dict[str, str]) -> dict[str, str]:
-    """Write each ``name: text`` in order under the output directory;
-    returns ``name: path`` in the same order."""
-    base = out_dir or cfg.out_dir or "."
+def _write(cfg: ExperimentConfig, files: dict[str, str]) -> dict[str, str]:
+    """Write each ``name: text`` in order under ``[experiment] out`` (default
+    the working directory); returns ``name: path`` in the same order."""
     paths = {}
     for name, text in files.items():
-        paths[name] = os.path.join(base, name)
+        paths[name] = os.path.join(cfg.out_dir or ".", name)
         write_text(paths[name], text)
     return paths
 
@@ -106,7 +107,7 @@ def _lambda_for_sigma(crit: CriticalData, sig: float) -> float:
 # plain experiment drivers
 # ----------------------------------------------------------------------------
 
-def run_linear(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
+def run_linear(cfg: ExperimentConfig) -> dict[str, str]:
     """Critical-coupling search and growth-rate tables; writes two files."""
     p, g, crit, m, n = resolve_setup(cfg)
     k_max = cfg.get("geometry", "k_max")
@@ -137,10 +138,10 @@ def run_linear(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, s
             rows.append("\t".join(cells))
     table_text = "\n".join(rows) + "\n"
 
-    return _write(cfg, out_dir, {"linear_critical.tsv": crit_text, "linear_sigma.tsv": table_text})
+    return _write(cfg, {"linear_critical.tsv": crit_text, "linear_sigma.tsv": table_text})
 
 
-def run_reduce(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
+def run_reduce(cfg: ExperimentConfig) -> dict[str, str]:
     """Reduced coefficients (both conventions), equilibria, transition verdict."""
     p, g, crit, m, n = resolve_setup(cfg)
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
@@ -167,11 +168,11 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, s
         ]))
     eq_text = "\n".join(eq_rows) + "\n"
 
-    return _write(cfg, out_dir, {"reduce_coefficients.tsv": coeff_text,
-                                 "reduce_equilibria.tsv": eq_text})
+    return _write(cfg, {"reduce_coefficients.tsv": coeff_text,
+                        "reduce_equilibria.tsv": eq_text})
 
 
-def run_ode(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
+def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
     """Planar trajectory, basin survey, and attractor graph for the reduced system."""
     p, g, crit, m, n = resolve_setup(cfg)
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
@@ -197,9 +198,9 @@ def run_ode(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]
     for note in desc.notes:
         graph_rows.append(f"note\t{note}")
 
-    return _write(cfg, out_dir, {"ode_trajectory.tsv": trajectory_text(traj),
-                                 "ode_basins.tsv": "\n".join(basin_rows) + "\n",
-                                 "ode_attractor.tsv": "\n".join(graph_rows) + "\n"})
+    return _write(cfg, {"ode_trajectory.tsv": trajectory_text(traj),
+                        "ode_basins.tsv": "\n".join(basin_rows) + "\n",
+                        "ode_attractor.tsv": "\n".join(graph_rows) + "\n"})
 
 
 def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
@@ -219,8 +220,7 @@ def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
     )
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None,
-                 full_system: bool = False) -> dict[str, str]:
+def run_simulate(cfg: ExperimentConfig, full_system: bool = False) -> dict[str, str]:
     """One full simulation; writes the mode series, snapshots, and a summary."""
     p, g, crit, m, n = resolve_setup(cfg)
     sim_cfg = _sim_config(cfg, p, g, m, n, cfg.seed)
@@ -247,10 +247,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None,
         f"lambda_c\t{fmt(crit.lambda_c)}",
     ]
     files["summary.tsv"] = "\n".join(summary) + "\n"
-    return _write(cfg, out_dir, files)
+    return _write(cfg, files)
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, str]:
+def run_sweep(cfg: ExperimentConfig) -> dict[str, str]:
     """Atlas over (geometry scale, coupling factor); one row per cell.
 
     Cell order is geometry-major, then coupling; per-cell failures are
@@ -289,7 +289,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[str, st
             except Exception as exc:  # per-cell failures recorded, sweep continues
                 rows.append("\t".join([fmt(gf), fmt(lf)] + [""] * 10
                                       + [f"error:{type(exc).__name__}:{exc}"]))
-    return _write(cfg, out_dir, {"sweep_atlas.tsv": "\n".join(rows) + "\n"})
+    return _write(cfg, {"sweep_atlas.tsv": "\n".join(rows) + "\n"})
 
 
 def _modes_str(modes) -> str:
@@ -356,10 +356,9 @@ def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
     return runs
 
 
-def _arbitrate(value: float, candidate_formula: float, candidate_paper: float,
-               rtol: float = 0.10) -> str:
-    hit_f = abs(value - candidate_formula) <= rtol * abs(candidate_formula)
-    hit_p = abs(value - candidate_paper) <= rtol * abs(candidate_paper)
+def _arbitrate(value: float, candidate_formula: float, candidate_paper: float) -> str:
+    hit_f = abs(value - candidate_formula) <= ARBITRATION_RTOL * abs(candidate_formula)
+    hit_p = abs(value - candidate_paper) <= ARBITRATION_RTOL * abs(candidate_paper)
     if hit_f and not hit_p:
         return "formula"
     if hit_p and not hit_f:
@@ -367,7 +366,7 @@ def _arbitrate(value: float, candidate_formula: float, candidate_paper: float,
     return "indecisive"
 
 
-def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> VerificationReport:
+def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
     """End-to-end verification at the degenerate critical point (balanced
     diffusion mu = 8*alpha on the resonant rectangle).
 
@@ -387,7 +386,7 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
         rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", False,
                 note="the balanced-diffusion hypothesis mu = 8*alpha is violated; "
                      "remaining checks skipped")
-        _write_report(cfg, out_dir, rep, "theorem1")
+        _write_report(cfg, rep, "theorem1")
         return rep
     rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", True)
 
@@ -413,7 +412,7 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
 
     if lam_factor <= 1.0:
         rep.provenance.append("coupling at or below critical: supercritical checks skipped by design")
-        _write_report(cfg, out_dir, rep, "theorem1")
+        _write_report(cfg, rep, "theorem1")
         return rep
 
     # supercritical reduced system: coefficients frozen at the critical
@@ -529,11 +528,11 @@ def run_verify_theorem1(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
             rep.add(f"stage: {stage_name}", "completes", f"{type(exc).__name__}: {exc}",
                     "no error", False)
 
-    _write_report(cfg, out_dir, rep, "theorem1")
+    _write_report(cfg, rep, "theorem1")
     return rep
 
 
-def run_verify_theorem2(cfg: ExperimentConfig, out_dir: str | None = None) -> VerificationReport:
+def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
     """Verification under small perturbations of domain length and coupling.
 
     The quadratic coefficient becomes nonzero: rectangles must disappear,
@@ -604,11 +603,10 @@ def run_verify_theorem2(cfg: ExperimentConfig, out_dir: str | None = None) -> Ve
                 f"{fmt(disc)} -> {fmt(flip_sign)}", "exact", ok_flip)
         rep.provenance.append(f"coefficient convention in use: {cfg.convention}")
 
-    _write_report(cfg, out_dir, rep, "theorem2")
+    _write_report(cfg, rep, "theorem2")
     return rep
 
 
-def _write_report(cfg: ExperimentConfig, out_dir: str | None,
-                  rep: VerificationReport, tag: str) -> None:
-    _write(cfg, out_dir, {f"verify_{tag}_report.txt": rep.to_table(),
-                          f"verify_{tag}_report.tsv": rep.to_tsv()})
+def _write_report(cfg: ExperimentConfig, rep: VerificationReport, tag: str) -> None:
+    _write(cfg, {f"verify_{tag}_report.txt": rep.to_table(),
+                 f"verify_{tag}_report.tsv": rep.to_tsv()})

@@ -257,7 +257,8 @@ def test_criterion_07_ring_attractor(setup):
 @pytest.mark.slow
 def test_criterion_08_perturbed_structure(tmp_path):
     cfg = parse_config("[experiment]\nkind = verify-theorem2\nseed = 8\n")
-    rep = run_verify_theorem2(cfg, out_dir=str(tmp_path))
+    cfg.set("experiment", "out", str(tmp_path))
+    rep = run_verify_theorem2(cfg)
     by_name = {c.name: c for c in rep.checks}
     oks = [
         record(8, "no pure-rectangle equilibrium",

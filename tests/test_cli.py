@@ -121,6 +121,23 @@ class TestDeterministicOutputs:
         assert (tmp_path / "a" / "series.tsv").read_bytes() \
             != (tmp_path / "b" / "series.tsv").read_bytes()
 
+    def test_seed_flag_supplies_a_missing_seed(self, tmp_path):
+        sweep = ("[sweep]\nlambda_factors = 1.02\ngeometry_factors = 1.0\n"
+                 "t_end = 30\ndt = 0.05\n")
+        flagged = write(tmp_path / "flag.cfg", "[experiment]\nkind = sweep\n" + sweep)
+        seeded = write(tmp_path / "seed.cfg", "[experiment]\nkind = sweep\nseed = 5\n" + sweep)
+        assert main(["sweep", "--config", flagged, "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+        assert main(["sweep", "--config", seeded, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "sweep_atlas.tsv").read_bytes() \
+            == (tmp_path / "b" / "sweep_atlas.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed_line, flags", [("seed = -2\n", []), ("", ["--seed", "-2"])])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, seed_line, flags):
+        cfg = write(tmp_path / "neg.cfg", "[experiment]\nkind = sweep\n" + seed_line)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
+        assert "[experiment] seed must be >= 0, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_byte_stable_and_empty_grid(self, tmp_path):
         sweep = ("[experiment]\nkind = sweep\nseed = 5\n"
                  "[sweep]\nlambda_factors = 1.02\ngeometry_factors = 1.0\n"

@@ -88,12 +88,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("[experiment]\nkind = sweep\n")
 
-    # sweep and verify-theorem2 set their own geometry and coupling, and the
-    # sweep its own grids, so these keys would be silently ignored
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 3: \[experiment\] seed must be >= 0, got -1"):
+            parse_config("[experiment]\nkind = sweep\nseed = -1\n")
+
+    # sweep and verify-theorem2 set their own geometry and coupling, the
+    # sweep its own grids, and only simulate and simulate-full read
+    # [simulation], so these keys would be silently ignored
     @pytest.mark.parametrize("kind, section, entry", [
         (kind, section, entry)
         for kind in ("sweep", "verify-theorem2") for section, entry in WORKING_POINT_ENTRIES
-    ] + [("sweep", "simulation", "n1 = 64"), ("sweep", "simulation", "dt = 0.05")])
+    ] + [("sweep", "simulation", "n1 = 64"), ("sweep", "simulation", "dt = 0.05")] + [
+        (kind, "simulation", "n1 = 16")
+        for kind in ("linear", "reduce", "ode", "verify-theorem1", "verify-theorem2")])
     def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
         key = f"[{section}] {entry.partition(' =')[0]}"
         text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
@@ -175,11 +182,11 @@ class TestRoundTrip:
             assert text1 == text2
         assert min(parsed.values()) >= 3, parsed
 
-    @pytest.mark.parametrize("kind", ["sweep", "verify-theorem2"])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_defaults_of_keys_a_kind_sets_are_not_written(self, kind):
         text = serialize_config(parse_config(f"[experiment]\nkind = {kind}\nseed = 3\n"))
-        assert "ell2_factor" not in text
-        assert ("[simulation]" in text) == (kind != "sweep")
+        assert ("ell2_factor" in text) == (kind not in ("sweep", "verify-theorem2"))
+        assert ("[simulation]" in text) == (kind in ("simulate", "simulate-full"))
         assert serialize_config(parse_config(text)) == text
 
     def test_all_schema_types_have_formatters(self):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 
@@ -20,7 +21,9 @@ from chemopattern.core import rho, rho_table, sigma
 from chemopattern.transforms import transform_inverse
 from chemopattern import simulator
 from chemopattern.simulator import (
+    BLOWUP_NORM,
     BlowUpError,
+    Diagnostics,
     InitialCondition,
     SimConfig,
     _PairStepper,
@@ -343,6 +346,31 @@ class TestSimulate:
         assert diag.times.tolist() == [0.0]
         assert diag.final_fingerprint == "unresolved"
         assert not diag.steady
+
+    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
+    def test_runaway_norm_reports_the_record_that_exceeded_it(self, run):
+        # linear growth from l2 = 5e5 stays finite and crosses the bound at a
+        # later record, not at a step
+        cfg = sim_config(params=ModelParams(8.0, 1.0, 19.0), nonlinear=False, t_end=100.0,
+                         dt=0.1, ic=InitialCondition(kind="modes", modes=(((1, 1), 1e6),)))
+        with pytest.raises(BlowUpError) as err:
+            run(cfg)
+        diag = err.value.diagnostics
+        assert err.value.time == diag.times[-1] > 1.0
+        assert diag.l2_series[-1] > BLOWUP_NORM >= diag.l2_series[:-1].max()
+        assert diag.final_fingerprint == "unresolved"
+        assert not diag.steady
+
+
+def test_blow_up_error_survives_pickling():
+    diag = Diagnostics(times=np.array([0.0, 1.0]), mode_series={(1, 1): np.array([1.0, 2.0])},
+                       l2_series=np.array([0.5, 1.0]))
+    err = pickle.loads(pickle.dumps(BlowUpError(1.5, diag)))
+    assert (err.time, str(err)) == (1.5, "simulation blew up at t = 1.5")
+    assert err.diagnostics.times.tolist() == [0.0, 1.0]
+    assert err.diagnostics.mode_series[(1, 1)].tolist() == [1.0, 2.0]
+    err = pickle.loads(pickle.dumps(BlowUpError(None, message="non-finite step")))
+    assert (err.time, err.diagnostics, str(err)) == (None, None, "non-finite step")
 
 
 class TestStepperContract:

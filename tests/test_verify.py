@@ -67,7 +67,8 @@ class TestResolveSetup:
 class TestVerifyTheorem1Paths:
     def test_violated_diffusion_hypothesis_short_circuits(self, tmp_path):
         cfg = parse_config(cfg_text("verify-theorem1", "[model]\nmu = 7\nalpha = 1\n"))
-        rep = run_verify_theorem1(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
         assert not rep.overall
         assert len(rep.checks) == 1
         assert "mu = 8*alpha" in rep.checks[0].name
@@ -76,7 +77,8 @@ class TestVerifyTheorem1Paths:
     def test_subcritical_coupling_skips_supercritical_checks(self, tmp_path):
         cfg = parse_config(cfg_text(
             "verify-theorem1", "[verify]\nlambda_factor = 0.98\nskip_pde = true\n"))
-        rep = run_verify_theorem1(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
         names = [c.name for c in rep.checks]
         assert "subcritical: all growth rates negative" in names
         assert not any("equilibria" in n for n in names)
@@ -91,7 +93,9 @@ class TestVerifyTheorem1Paths:
                  "alpha1 = 1\nalpha2 = 1\n"
                  "[verify]\nsigma_list =\nsigma_list_hex =\nskip_pde = true\n"
                  "slaving_t_end = 10\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n")
-        rep = run_verify_theorem1(parse_config(cfg_text("verify-theorem1", extra)), str(tmp_path))
+        cfg = parse_config(cfg_text("verify-theorem1", extra))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
         names = [c.name for c in rep.checks]
         assert "coupling at or below critical: supercritical checks skipped by design" \
             in rep.provenance
@@ -105,7 +109,8 @@ class TestVerifyTheorem1Paths:
             "verify-theorem1",
             "[verify]\nsigma_list = 0.05\nsigma_list_hex = 0.05\nskip_pde = true\n"
             "slaving_t_end = 60\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n"))
-        rep = run_verify_theorem1(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
         stage_checks = [c for c in rep.checks if c.name.startswith("stage:")]
         assert stage_checks and not stage_checks[0].passed
         assert (tmp_path / "verify_theorem1_report.tsv").exists()
@@ -113,7 +118,8 @@ class TestVerifyTheorem1Paths:
     def test_report_files_match_report(self, tmp_path):
         cfg = parse_config(cfg_text(
             "verify-theorem1", "[verify]\nlambda_factor = 0.98\nskip_pde = true\n"))
-        rep = run_verify_theorem1(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
         tsv = (tmp_path / "verify_theorem1_report.tsv").read_text()
         assert tsv == rep.to_tsv()
         txt = (tmp_path / "verify_theorem1_report.txt").read_text()
@@ -125,7 +131,8 @@ class TestVerifyTheorem2Paths:
     def test_zero_perturbation_degenerates(self, tmp_path):
         cfg = parse_config(cfg_text(
             "verify-theorem2", "[verify]\nell2_perturb = 0\nlambda_perturb = 0\n"))
-        rep = run_verify_theorem2(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem2(cfg)
         by_name = {c.name: c for c in rep.checks}
         # exactly at the degenerate point the quadratic coefficient vanishes
         assert not by_name["quadratic coefficient nonzero"].passed
@@ -133,7 +140,8 @@ class TestVerifyTheorem2Paths:
 
     def test_structural_checks_pass(self, tmp_path):
         cfg = parse_config(cfg_text("verify-theorem2"))
-        rep = run_verify_theorem2(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem2(cfg)
         by_name = {c.name: c for c in rep.checks}
         for name in ("no pure-rectangle equilibrium", "nontrivial equilibria",
                      "mixed-pattern equilibria", "ring attractor",
@@ -144,14 +152,16 @@ class TestVerifyTheorem2Paths:
 class TestDriverOutputs:
     def test_linear_tables(self, tmp_path):
         cfg = parse_config(cfg_text("linear", "[geometry]\nk_max = 4\n"))
-        paths = run_linear(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        paths = run_linear(cfg)
         sigma_rows = (tmp_path / "linear_sigma.tsv").read_text().strip().splitlines()
         assert sigma_rows[0].startswith("k1\tk2\trho")
         assert len(sigma_rows) == 1 + 5 * 5 - 1  # all modes but (0, 0)
 
     def test_reduce_carries_both_conventions(self, tmp_path):
         cfg = parse_config(cfg_text("reduce", "[model]\nlambda_factor = 1.02\n"))
-        run_reduce(cfg, str(tmp_path))
+        cfg.set("experiment", "out", str(tmp_path))
+        run_reduce(cfg)
         text = (tmp_path / "reduce_coefficients.tsv").read_text()
         assert "b1_formula\t-3.2462" in text
         assert "b1_paper\t-2.1" in text
