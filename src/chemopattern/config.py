@@ -179,19 +179,31 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 #: kinds whose default initial data is randomized, making a seed mandatory
 _RANDOMIZED_KINDS = ("simulate", "simulate-full", "sweep", "verify-theorem1", "verify-theorem2")
 
-#: sections or (section, key) pairs a kind sets itself or never reads, and
-#: would silently ignore: only simulate and simulate-full read [simulation],
-#: sweep cells take geometry, coupling and grids from [sweep], and
-#: verify-theorem2 perturbs the resonant point by [verify] amounts
+#: the kinds that read each kind-specific section; every other kind would
+#: silently ignore it
+_READ_BY = {
+    "linear": ("linear",),
+    "ode": ("ode",),
+    "simulation": ("simulate", "simulate-full"),
+    "verify": ("verify-theorem1", "verify-theorem2"),
+    "sweep": ("sweep",),
+}
+
+#: sections or (section, key) pairs a kind sets itself or never reads: the
+#: kind-specific sections of other kinds, and for sweep (whose cells take
+#: geometry and coupling from [sweep]) and verify-theorem2 (which perturbs
+#: the resonant point by [verify] amounts) the working point
 _WORKING_POINT_KEYS = ("physical", ("model", "lambda"), ("model", "lambda_factor"),
                        ("geometry", "ell1"), ("geometry", "ell2"), ("geometry", "ell2_factor"))
-_SET_BY_KIND = {kind: ("simulation",) + (_WORKING_POINT_KEYS if kind in ("sweep", "verify-theorem2") else ())
-                for kind in EXPERIMENT_KINDS if kind not in ("simulate", "simulate-full")}
+_SET_BY_KIND = {kind: tuple(sec for sec, readers in _READ_BY.items() if kind not in readers)
+                + (_WORKING_POINT_KEYS if kind in ("sweep", "verify-theorem2") else ())
+                for kind in EXPERIMENT_KINDS}
 
 
 def _set_by_kind(kind: str, section: str, key: str) -> bool:
-    """Whether ``kind`` sets [section] key itself, so a config may not."""
-    keys = _SET_BY_KIND.get(kind, ())
+    """Whether ``kind`` sets [section] key itself or never reads it, so a
+    config may not."""
+    keys = _SET_BY_KIND[kind]
     return section in keys or (section, key) in keys
 
 
@@ -319,6 +331,12 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
         key = "n" if m >= 1 and n < 1 else "m"  # the one that is set and wrong
         raise ConfigError(f"[geometry] (m, n) = ({m}, {n}) must be coprime and >= 1 "
                           "when ell1 and ell2 are not given", lines.get(("geometry", key)))
+    ode = cfg.data["ode"]
+    for key in ("dt", "t_end", "ray_radius"):
+        if not ode[key] > 0:
+            raise ConfigError(f"[ode] {key} must be positive, got {ode[key]}", lines.get(("ode", key)))
+    if ode["n_rays"] < 1:
+        raise ConfigError(f"[ode] n_rays must be >= 1, got {ode['n_rays']}", lines.get(("ode", "n_rays")))
     if cfg.data["simulation"]["ic_kind"] not in ("random", "modes"):
         raise ConfigError(f"[simulation] ic_kind must be 'random' or 'modes', "
                           f"got {cfg.data['simulation']['ic_kind']!r}")

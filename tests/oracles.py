@@ -8,9 +8,18 @@ independent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from chemopattern.core import DomainGeometry, ModelParams, rho_table
+from chemopattern.planar import (
+    CAPTURE_RADIUS_FACTOR,
+    DEFAULT_BLOWUP,
+    RESIDUAL_SPEED_TOL,
+)
+from chemopattern.reduction import _amplitude_scale, equilibria, reduced_vector_field
 
 
 def cos_mode(k1: int, k2: int, g: DomainGeometry, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -195,3 +204,65 @@ def count_root_clusters(field, box: float, n: int = 400) -> int:
         if touches_origin:
             clusters_with_origin += 1
     return current - clusters_with_origin
+
+
+def integrate_by_sample(rc, y0, dt: float, t_end: float, equilibria_list=None):
+    """Reference for ``planar.integrate`` with the same chunked ``solve_ivp``
+    calls, but the stopping tests run on every sample in turn: blow-up
+    (norm above ``DEFAULT_BLOWUP``) first, then capture by the nearest
+    equilibrium within the capture radius at residual speed below
+    tolerance.  The field is evaluated on numpy arrays.  Sample times come
+    from ``np.arange`` unfiltered, which equals ``integrate``'s ``k*dt`` grid
+    for dyadic ``dt`` but can overshoot a chunk's end for other ``dt``.
+
+    Returns ``(times, states, terminal_equilibrium, diverged)``.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    eq_list = equilibria(rc) if equilibria_list is None else equilibria_list
+    scale = _amplitude_scale(rc)
+    radius = CAPTURE_RADIUS_FACTOR * scale
+
+    def match(y):
+        speed = float(np.linalg.norm(reduced_vector_field(y, rc)))
+        if speed > RESIDUAL_SPEED_TOL * max(rc.scale, 1.0):
+            return None
+        best, dist = None, math.inf
+        for e in eq_list:
+            d = math.hypot(y[0] - e.y[0], y[1] - e.y[1])
+            if d < dist:
+                best, dist = e, d
+        return best if dist <= radius else None
+
+    times, states = [0.0], [y0.copy()]
+    diverged, terminal = False, None
+    chunk = max(dt, min(t_end / 20.0, 50.0))
+    t, y = 0.0, y0.copy()
+    while t < t_end - 1e-12:
+        t1 = min(t + chunk, t_end)
+        t_eval = np.arange(t + dt, t1 + dt / 2, dt)
+        if len(t_eval) == 0:
+            t_eval = np.array([t1])
+        sol = solve_ivp(lambda _t, yy: reduced_vector_field(yy, rc), (t, t1), y,
+                        method="RK45", rtol=1e-10, atol=1e-12, t_eval=t_eval,
+                        dense_output=False)
+        if not sol.success:
+            last = sol.y.T[-1] if sol.y.size else y
+            if np.linalg.norm(last) <= 10.0 * scale:
+                raise RuntimeError(f"planar integration failed: {sol.message}")
+            times.extend(float(tk) for tk in sol.t)
+            states.extend(yk.copy() for yk in sol.y.T)
+            diverged = True
+            break
+        for tk, yk in zip(sol.t, sol.y.T):
+            times.append(float(tk))
+            states.append(yk.copy())
+            if np.linalg.norm(yk) > DEFAULT_BLOWUP:
+                diverged = True
+                break
+            terminal = match(yk)
+            if terminal is not None:
+                break
+        if diverged or terminal is not None:
+            break
+        t, y = times[-1], states[-1]
+    return np.array(times), np.array(states), terminal, diverged

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chemopattern.cli import main
@@ -92,6 +93,12 @@ class TestCliBasics:
         assert "line 4: [geometry] (m, n) = (2, 2) must be coprime" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_ode_range_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "ode.cfg", "[experiment]\nkind = ode\n[ode]\ndt = 0\n")
+        assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line 4: [ode] dt must be positive, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")
@@ -153,6 +160,17 @@ class TestDeterministicOutputs:
         assert main(["sweep", "--config", cfg2, "--out", str(tmp_path / "c")]) == 0
         lines = (tmp_path / "c" / "sweep_atlas.tsv").read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("geometry_factor")
+
+
+class TestOdeCli:
+    def test_ode_at_non_dyadic_dt(self, tmp_path):
+        cfg = write(tmp_path / "ode.cfg", "[experiment]\nkind = ode\n[model]\nlambda_factor = 1.02\n"
+                    "[ode]\ndt = 0.1\nt_end = 300\nn_rays = 4\n")
+        assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "ode_trajectory.tsv").read_text().strip().splitlines()
+        times = np.array([float(r.split("\t")[0]) for r in rows[1:]])
+        assert times[0] == 0.0 and times[-1] <= 300.0
+        assert np.allclose(np.diff(times), 0.1, rtol=0.0, atol=1e-9)
 
 
 class TestVerifyCli:

@@ -93,18 +93,33 @@ class TestParsing:
             parse_config("[experiment]\nkind = sweep\nseed = -1\n")
 
     # sweep and verify-theorem2 set their own geometry and coupling, the
-    # sweep its own grids, and only simulate and simulate-full read
-    # [simulation], so these keys would be silently ignored
+    # sweep its own grids, and each kind-specific section is read by its
+    # kinds only, so these keys would be silently ignored
     @pytest.mark.parametrize("kind, section, entry", [
         (kind, section, entry)
         for kind in ("sweep", "verify-theorem2") for section, entry in WORKING_POINT_ENTRIES
     ] + [("sweep", "simulation", "n1 = 64"), ("sweep", "simulation", "dt = 0.05")] + [
         (kind, "simulation", "n1 = 16")
-        for kind in ("linear", "reduce", "ode", "verify-theorem1", "verify-theorem2")])
+        for kind in ("linear", "reduce", "ode", "verify-theorem1", "verify-theorem2")] + [
+        ("linear", "sweep", "n1 = 7"), ("simulate", "verify", "fit_n1 = 3"),
+        ("reduce", "ode", "n_rays = -5"), ("sweep", "linear", "lambda_factors = 1.1"),
+        ("verify-theorem1", "ode", "dt = 0.5"), ("ode", "verify", "n_rays = 8"),
+        ("simulate-full", "sweep", "t_end = 10"), ("verify-theorem2", "linear", "lambda_factors = 1"),
+        ("reduce", "verify", "lambda_factor = 1.05"), ("sweep", "verify", "n_rays = 8"),
+        ("linear", "ode", "t_end = 10"), ("ode", "sweep", "n1 = 64")])
     def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
         key = f"[{section}] {entry.partition(' =')[0]}"
         text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
         with pytest.raises(ConfigError, match=rf"line 5: {re.escape(key)} is not used by kind = {kind}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("dt = 0", "dt must be positive, got 0.0"), ("t_end = -300", "t_end must be positive, got -300.0"),
+        ("n_rays = -5", "n_rays must be >= 1, got -5"), ("ray_radius = 0", "ray_radius must be positive, got 0.0"),
+    ])
+    def test_ode_ranges(self, entry, message):
+        text = f"[experiment]\nkind = ode\n[ode]\ny0_1 = 0.002\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"^line 5: \[ode\] {re.escape(message)}$"):
             parse_config(text)
 
     def test_other_kinds_accept_working_point_keys(self):
@@ -187,6 +202,10 @@ class TestRoundTrip:
         text = serialize_config(parse_config(f"[experiment]\nkind = {kind}\nseed = 3\n"))
         assert ("ell2_factor" in text) == (kind not in ("sweep", "verify-theorem2"))
         assert ("[simulation]" in text) == (kind in ("simulate", "simulate-full"))
+        assert ("[linear]" in text) == (kind == "linear")
+        assert ("[ode]" in text) == (kind == "ode")
+        assert ("[sweep]" in text) == (kind == "sweep")
+        assert ("[verify]" in text) == (kind in ("verify-theorem1", "verify-theorem2"))
         assert serialize_config(parse_config(text)) == text
 
     def test_all_schema_types_have_formatters(self):

@@ -16,8 +16,10 @@ from chemopattern import (
     reduced_vector_field,
 )
 from chemopattern.core import DomainGeometry
-from chemopattern.planar import Trajectory
-from chemopattern.reduction import _amplitude_scale
+from chemopattern.planar import SHOOT_OFFSET, SHOOT_T_END, Trajectory
+from chemopattern.reduction import _amplitude_scale, vector_field_jacobian
+
+from oracles import integrate_by_sample
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,42 @@ class TestIntegrate:
         traj = integrate(rc_bad, (0.5, 0.5), dt=0.05, t_end=100.0)
         assert traj.diverged
         assert traj.terminal_equilibrium is None
+
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
+    def test_divergence_report_at_coarse_dt(self, rc_super, dt):
+        # the solver fails before the first sample, so only its last
+        # accepted state shows the blow-up
+        traj = integrate(rc_super.with_cubic_override(5.0, 5.0), (0.5, 0.5), dt=dt, t_end=100.0)
+        assert traj.diverged
+        assert traj.terminal_equilibrium is None
+        assert traj.times[-1] < dt
+
+    @pytest.mark.parametrize("dt", [0.05, 0.25, 1.0])
+    def test_positive_cubics_blow_up_on_the_rectangle(self, dt):
+        # 1.02 lambda_c on the (1, 1) rectangle with both cubic coefficients
+        # made positive: every sample lags far behind the solver's state
+        p = ModelParams(8.0, 1.0, 18.0)
+        g = make_critical_geometry(1, 1, p)
+        rc = cubic_coefficients(replace(p, lam=1.02 * lambda_critical(p, g).lambda_c), g, 1, 1)
+        rc = rc.with_cubic_override(abs(rc.frak_b1), abs(rc.frak_b2))
+        traj = integrate(rc, (0.5, 0.5), dt=dt, t_end=100.0)
+        assert traj.diverged
+        assert traj.terminal_equilibrium is None
+
+    @pytest.mark.parametrize("dt, t_end, last_step", [(0.1, 300.0, 0.1), (0.05, 100.0, 0.05),
+                                                      (0.3, 1000.0, 0.1)])
+    def test_non_dyadic_dt_samples_evenly(self, bench, dt, t_end, last_step):
+        # at the critical point the decay is too slow for capture, so the
+        # trajectory runs to t_end; 0.3 does not divide 1000, so the last
+        # step is the remainder
+        _, _, _, rc = bench
+        traj = integrate(rc, (1e-3, 1e-3), dt=dt, t_end=t_end)
+        assert traj.terminal_equilibrium is None and not traj.diverged
+        steps = np.diff(traj.times)
+        assert np.all(steps > 0)
+        assert np.allclose(steps[:-1], dt, rtol=0.0, atol=1e-9)
+        assert traj.times[-1] == t_end
+        assert steps[-1] == pytest.approx(last_step, abs=1e-9)
 
     def test_adaptive_bitwise_reproducible(self, rc_super):
         a = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)
@@ -181,3 +219,60 @@ class TestMonotoneCapture:
             inside = np.nonzero(d <= 0.1 * A)[0]
             assert len(inside) > 0
             assert np.all(d[inside[0]:] <= 0.1 * A * 1.05)
+
+
+class TestScanOracle:
+    """``integrate`` scans each chunk as arrays; the per-sample reference
+    with the same ``solve_ivp`` calls must give the same bytes."""
+
+    @staticmethod
+    def assert_same(rc, y0, dt, t_end, equilibria_list=None):
+        traj = integrate(rc, y0, dt, t_end, equilibria_list=equilibria_list)
+        times, states, terminal, diverged = integrate_by_sample(rc, y0, dt, t_end, equilibria_list)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.states.shape == states.shape
+        assert traj.diverged is diverged
+        if terminal is None:
+            assert traj.terminal_equilibrium is None
+        else:
+            assert np.array(traj.terminal_equilibrium.y).tobytes() == np.array(terminal.y).tobytes()
+        return traj
+
+    @pytest.mark.parametrize("dt", [1.0, 0.25])
+    def test_basin_rays(self, rc_super, dt):
+        eqs = equilibria(rc_super)
+        for j in range(16):
+            theta = 2.0 * math.pi * j / 16
+            traj = self.assert_same(rc_super, (0.01 * math.cos(theta), 0.01 * math.sin(theta)),
+                                    dt, 4000.0, eqs)
+            assert traj.terminal_equilibrium is not None
+
+    def test_saddle_shot_with_custom_targets(self, rc_super):
+        eqs = equilibria(rc_super)
+        saddle = next(e for e in eqs if e.pattern_class == "hexagon")
+        eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(saddle.y, rc_super))
+        v = eigvecs[:, int(np.argmax(eigvals.real))].real
+        targets = [e for e in eqs if e is not saddle]
+        for sgn in (1.0, -1.0):
+            y0 = np.array(saddle.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
+            traj = self.assert_same(rc_super, y0, 1.0, SHOOT_T_END, targets)
+            assert traj.terminal_equilibrium.pattern_class in ("roll", "rectangle")
+
+    def test_fixed_origin(self, rc_super):
+        traj = self.assert_same(rc_super, (0.0, 0.0), 1.0, 20.0)
+        assert traj.terminal_equilibrium.pattern_class == "trivial"
+
+    def test_subcritical_decay(self, bench):
+        rc = replace(bench[3], sigma1=-0.2, sigma2=-0.2)
+        traj = self.assert_same(rc, (1e-3, -2e-3), 1.0, 2000.0)
+        assert traj.terminal_equilibrium.pattern_class == "trivial"
+
+    def test_norm_bound_crossed_at_a_sample(self, rc_super):
+        # weak positive cubics let the growth cross DEFAULT_BLOWUP smoothly
+        traj = self.assert_same(rc_super.with_cubic_override(1e-10, 1e-10), (0.01, 0.01), 1.0, 1000.0)
+        assert traj.diverged and np.linalg.norm(traj.states[-1]) > 1e3
+
+    def test_divergence(self, rc_super):
+        traj = self.assert_same(rc_super.with_cubic_override(5.0, 5.0), (0.5, 0.5), 0.05, 100.0)
+        assert traj.diverged
