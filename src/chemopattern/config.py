@@ -200,6 +200,32 @@ _SET_BY_KIND = {kind: tuple(sec for sec, readers in _READ_BY.items() if kind not
                 for kind in EXPERIMENT_KINDS}
 
 
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _is_grid_size(n: int) -> bool:
+    return n >= 32 and n & (n - 1) == 0
+
+
+#: range checks on every value, set or defaulted: (section, keys,
+#: requirement, test)
+_RANGES = (
+    ("ode", ("dt", "t_end", "ray_radius"), "positive", _positive),
+    ("ode", ("n_rays",), ">= 1", lambda n: n >= 1),
+    ("simulation", ("n1", "n2"), "a power of two >= 32", _is_grid_size),
+    ("simulation", ("dt", "t_end", "record_interval"), "positive", _positive),
+    ("simulation", ("dealias_factor",), ">= 2", lambda f: f >= 2),
+    ("verify", ("n_rays",), ">= 1", lambda n: n >= 1),
+    ("verify", ("ray_radius", "fit_dt", "slaving_dt", "slaving_t_end", "pde_dt", "pde_t_end"),
+     "positive", _positive),
+    ("verify", ("fit_n1", "fit_n2", "slaving_n1", "slaving_n2", "pde_n1", "pde_n2"),
+     "a power of two >= 32", _is_grid_size),
+    ("sweep", ("n1", "n2"), "a power of two >= 32", _is_grid_size),
+    ("sweep", ("dt", "t_end"), "positive", _positive),
+)
+
+
 def _set_by_kind(kind: str, section: str, key: str) -> bool:
     """Whether ``kind`` sets [section] key itself or never reads it, so a
     config may not."""
@@ -331,12 +357,12 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
         key = "n" if m >= 1 and n < 1 else "m"  # the one that is set and wrong
         raise ConfigError(f"[geometry] (m, n) = ({m}, {n}) must be coprime and >= 1 "
                           "when ell1 and ell2 are not given", lines.get(("geometry", key)))
-    ode = cfg.data["ode"]
-    for key in ("dt", "t_end", "ray_radius"):
-        if not ode[key] > 0:
-            raise ConfigError(f"[ode] {key} must be positive, got {ode[key]}", lines.get(("ode", key)))
-    if ode["n_rays"] < 1:
-        raise ConfigError(f"[ode] n_rays must be >= 1, got {ode['n_rays']}", lines.get(("ode", "n_rays")))
+    for sec, keys, requirement, holds in _RANGES:
+        for key in keys:
+            value = cfg.data[sec][key]
+            if not holds(value):
+                raise ConfigError(f"[{sec}] {key} must be {requirement}, got {value}",
+                                  lines.get((sec, key)))
     if cfg.data["simulation"]["ic_kind"] not in ("random", "modes"):
         raise ConfigError(f"[simulation] ic_kind must be 'random' or 'modes', "
                           f"got {cfg.data['simulation']['ic_kind']!r}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .parallel import map_in_order
 from .reduction import (
     EquilibriumPoint,
     ReducedCoefficients,
@@ -172,16 +173,25 @@ def basin_survey(
 
     Rays are equispaced starting at angle 0, so rays along the invariant axes
     are included exactly when n_rays is a multiple of 4.  Results are keyed by
-    angle and filled in ray order, so surveys are deterministic.
+    angle and filled in ray order, so surveys are deterministic.  The rays are
+    integrated on the usable CPUs.
     """
     eq_list = equilibria(rc)
-    out: dict[float, EquilibriumPoint | None] = {}
-    for j in range(n_rays):
-        theta = 2.0 * math.pi * j / n_rays
+    thetas = [2.0 * math.pi * j / n_rays for j in range(n_rays)]
+
+    def ray(theta):
         y0 = (radius * math.cos(theta), radius * math.sin(theta))
         traj = integrate(rc, y0, dt, t_end, equilibria_list=eq_list)
-        out[theta] = traj.terminal_equilibrium
-    return out
+        return _index_of(traj.terminal_equilibrium, eq_list)
+
+    ends = map_in_order(ray, thetas)
+    return {theta: None if i is None else eq_list[i] for theta, i in zip(thetas, ends)}
+
+
+def _index_of(e: EquilibriumPoint | None, eq_list: list[EquilibriumPoint]) -> int | None:
+    """Position of ``e`` in ``eq_list`` by identity: what a worker sends back
+    in place of its own copy of the point."""
+    return None if e is None else next(i for i, q in enumerate(eq_list) if q is e)
 
 
 @dataclass
@@ -201,34 +211,46 @@ def attractor_graph(rc: ReducedCoefficients) -> AttractorDescriptor:
     ``is_circle`` is set when the eight nontrivial equilibria alternate
     saddle/sink around the origin and every saddle connects to its two
     angular neighbors, which is the finite-graph content of a circle
-    attractor.
+    attractor.  The shots are integrated on the usable CPUs; connections and
+    notes are listed in saddle order, as if shot one after another.
     """
     eq_list = equilibria(rc)
     nontrivial = [e for e in eq_list if e.pattern_class != "trivial"]
     notes: list[str] = []
     connections: list[tuple[int, int]] = []
 
-    index = {id(e): i for i, e in enumerate(eq_list)}
-    for e in eq_list:
+    plan: list = []  # per saddle in list order: a note, or its two shots
+    for i, e in enumerate(eq_list):
         if e.pattern_class == "trivial" or e.stability != "saddle":
             continue
         J = vector_field_jacobian(e.y, rc)
         eigvals, eigvecs = np.linalg.eig(J)
         unstable = [i for i in range(2) if eigvals[i].real > 0]
         if len(unstable) != 1:
-            notes.append(f"saddle at {e.y} without a unique unstable direction")
+            plan.append(f"saddle at {e.y} without a unique unstable direction")
             continue
         v = eigvecs[:, unstable[0]].real
         v = v / np.linalg.norm(v)
-        targets = [q for q in eq_list if q is not e]  # a shoot must leave its source
         for sgn in (+1.0, -1.0):
-            y0 = np.array(e.y) + sgn * SHOOT_OFFSET * v
-            traj = integrate(rc, y0, 1.0, SHOOT_T_END, equilibria_list=targets)
-            tgt = traj.terminal_equilibrium
-            if tgt is None or tgt.pattern_class == "trivial":
-                notes.append(f"unstable manifold of {e.y} (sign {sgn:+.0f}) unresolved")
-                continue
-            connections.append((index[id(e)], index[id(tgt)]))
+            plan.append((i, sgn, np.array(e.y) + sgn * SHOOT_OFFSET * v))
+
+    def shoot(shot):
+        i, _sgn, y0 = shot
+        targets = [q for q in eq_list if q is not eq_list[i]]  # a shoot must leave its source
+        traj = integrate(rc, y0, 1.0, SHOOT_T_END, equilibria_list=targets)
+        return _index_of(traj.terminal_equilibrium, eq_list)
+
+    ends = iter(map_in_order(shoot, [s for s in plan if not isinstance(s, str)]))
+    for step in plan:
+        if isinstance(step, str):
+            notes.append(step)
+            continue
+        i, sgn, _y0 = step
+        j = next(ends)
+        if j is None or eq_list[j].pattern_class == "trivial":
+            notes.append(f"unstable manifold of {eq_list[i].y} (sign {sgn:+.0f}) unresolved")
+            continue
+        connections.append((i, j))
 
     is_circle = _is_alternating_ring(eq_list, nontrivial, connections, notes)
     return AttractorDescriptor(eq_list, connections, is_circle, notes)

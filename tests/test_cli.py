@@ -99,6 +99,15 @@ class TestCliBasics:
         assert "line 4: [ode] dt must be positive, got 0.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, section", [("simulate", "simulation"), ("sweep", "sweep")])
+    def test_grid_range_is_a_config_error(self, tmp_path, capsys, kind, section):
+        cfg = write(tmp_path / "grid.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
+                                           f"[{section}]\nn1 = 16\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"line 5: [{section}] n1 must be a power of two >= 32, got 16" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")

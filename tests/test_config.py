@@ -19,6 +19,33 @@ MINIMAL_LINEAR = """
 kind = linear
 """
 
+#: (kind, section, entry, requirement, value as reported) of out-of-range entries
+RANGE_CASES = [
+    ("verify-theorem1", "verify", "n_rays = 0", ">= 1", "0"),
+    ("verify-theorem1", "verify", "ray_radius = -1", "positive", "-1.0"),
+    ("verify-theorem1", "verify", "fit_dt = -0.5", "positive", "-0.5"),
+    ("verify-theorem1", "verify", "slaving_dt = 0", "positive", "0.0"),
+    ("verify-theorem1", "verify", "slaving_t_end = -10", "positive", "-10.0"),
+    ("verify-theorem1", "verify", "pde_dt = 0", "positive", "0.0"),
+    ("verify-theorem2", "verify", "pde_t_end = 0", "positive", "0.0"),
+    ("verify-theorem1", "verify", "fit_n1 = 16", "a power of two >= 32", "16"),
+    ("verify-theorem1", "verify", "fit_n2 = 48", "a power of two >= 32", "48"),
+    ("verify-theorem1", "verify", "slaving_n1 = 0", "a power of two >= 32", "0"),
+    ("verify-theorem1", "verify", "slaving_n2 = 96", "a power of two >= 32", "96"),
+    ("verify-theorem1", "verify", "pde_n1 = 8", "a power of two >= 32", "8"),
+    ("verify-theorem2", "verify", "pde_n2 = -64", "a power of two >= 32", "-64"),
+    ("simulate", "simulation", "n1 = 16", "a power of two >= 32", "16"),
+    ("simulate-full", "simulation", "n2 = 100", "a power of two >= 32", "100"),
+    ("simulate", "simulation", "dt = 0", "positive", "0.0"),
+    ("simulate-full", "simulation", "t_end = -5", "positive", "-5.0"),
+    ("simulate", "simulation", "record_interval = 0", "positive", "0.0"),
+    ("simulate", "simulation", "dealias_factor = 1", ">= 2", "1"),
+    ("sweep", "sweep", "n1 = 16", "a power of two >= 32", "16"),
+    ("sweep", "sweep", "n2 = 33", "a power of two >= 32", "33"),
+    ("sweep", "sweep", "dt = -0.02", "positive", "-0.02"),
+    ("sweep", "sweep", "t_end = 0", "positive", "0.0"),
+]
+
 WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
                          ("model", "lambda_factor = 1.1"), ("geometry", "ell1 = 4"),
                          ("geometry", "ell2 = 7"), ("geometry", "ell2_factor = 1.5")]
@@ -122,6 +149,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^line 5: \[ode\] {re.escape(message)}$"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kind, section, entry, requirement, got", RANGE_CASES,
+                             ids=[f"{sec}.{entry.partition(' =')[0]}" for _k, sec, entry, *_ in RANGE_CASES])
+    def test_section_ranges(self, kind, section, entry, requirement, got):
+        key = entry.partition(" =")[0]
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
+        message = f"[{section}] {key} must be {requirement}, got {got}"
+        with pytest.raises(ConfigError, match=rf"^line 5: {re.escape(message)}$"):
+            parse_config(text)
+
     def test_other_kinds_accept_working_point_keys(self):
         cfg = parse_config("[experiment]\nkind = verify-theorem2\nseed = 1\n"
                            "[model]\nmu = 9\n[geometry]\nm = 2\nk_max = 16\n")
@@ -179,6 +215,8 @@ class TestRoundTrip:
                         continue
                     if tname == "float":
                         entries.append(f"{key} = {rng.uniform(0.5, 4.0):.6g}")
+                    elif key.endswith(("n1", "n2")):  # grid sizes: powers of two >= 32
+                        entries.append(f"{key} = {32 << rng.integers(0, 3)}")
                     elif tname == "int":
                         entries.append(f"{key} = {rng.integers(1, 6)}")
                     elif tname == "float_list":

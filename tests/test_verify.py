@@ -115,6 +115,19 @@ class TestVerifyTheorem1Paths:
         assert stage_checks and not stage_checks[0].passed
         assert (tmp_path / "verify_theorem1_report.tsv").exists()
 
+    def test_no_off_axis_ray_fails_the_basin_row(self, tmp_path):
+        # with four rays every ray lies on an axis, so the off-axis claim
+        # has nothing to hold on and must not pass
+        cfg = parse_config(cfg_text(
+            "verify-theorem1",
+            "[verify]\nn_rays = 4\nsigma_list =\nsigma_list_hex =\nskip_pde = true\n"
+            "slaving_t_end = 10\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n"))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
+        row, = [c for c in rep.checks if c.name.startswith("basin survey")]
+        assert not row.passed
+        assert row.note == "no off-axis ray among 4: every ray lies on an axis"
+
     def test_report_files_match_report(self, tmp_path):
         cfg = parse_config(cfg_text(
             "verify-theorem1", "[verify]\nlambda_factor = 0.98\nskip_pde = true\n"))
