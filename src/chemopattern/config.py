@@ -201,7 +201,8 @@ _SET_BY_KIND = {kind: tuple(sec for sec, readers in _READ_BY.items() if kind not
 
 
 def _positive(x) -> bool:
-    return x > 0
+    """A positive real number: inf and nan are not."""
+    return math.isfinite(x) and x > 0
 
 
 def _is_grid_size(n: int) -> bool:
@@ -213,6 +214,7 @@ def _is_grid_size(n: int) -> bool:
 _RANGES = (
     ("ode", ("dt", "t_end", "ray_radius"), "positive", _positive),
     ("ode", ("n_rays",), ">= 1", lambda n: n >= 1),
+    ("ode", ("y0_1", "y0_2"), "finite", math.isfinite),
     ("simulation", ("n1", "n2"), "a power of two >= 32", _is_grid_size),
     ("simulation", ("dt", "t_end", "record_interval"), "positive", _positive),
     ("simulation", ("dealias_factor",), ">= 2", lambda f: f >= 2),

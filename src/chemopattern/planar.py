@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .parallel import map_in_order
 from .reduction import (
@@ -40,6 +40,17 @@ SHOOT_OFFSET = 1e-6
 
 #: Time horizon of each shot along an unstable eigendirection.
 SHOOT_T_END = 20000.0
+
+# local error tolerances of every planar integration
+_RTOL, _ATOL = 1e-10, 1e-12
+
+# the Dormand-Prince 5(4) pair as scipy's RK45 holds it, and the step-size
+# control constants of scipy.integrate._ivp.rk
+_A, _B, _E, _P = RK45.A, RK45.B, RK45.E, RK45.P
+_N_STAGES = RK45.n_stages
+_ORDER_EXPONENT = 1 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_SQRT2 = 2 ** 0.5
 
 
 @dataclass
@@ -75,6 +86,105 @@ def _match_equilibrium(y, rc, eq_list, radius) -> EquilibriumPoint | None:
     return best if dist <= radius else None
 
 
+def _rms(a: float, b: float) -> float:
+    """scipy's RMS norm of the 2-vector (a, b), squared through numpy's dot."""
+    x = np.array((a, b))
+    return math.sqrt(x.dot(x)) / _SQRT2
+
+
+def _rk45(rc: ReducedCoefficients, t0: float, t1: float, y0: tuple[float, float],
+          t_eval: np.ndarray):
+    """The steps scipy's ``solve_ivp(method="RK45", rtol=1e-10, atol=1e-12,
+    t_eval=t_eval)`` takes on the planar field from ``(t0, y0)`` to
+    ``t1 > t0``, with the same floating-point results.
+
+    Every dot product is the numpy call scipy makes, on the same shapes (BLAS
+    may fuse and reorder its sums); the element-wise arithmetic runs on
+    Python floats, which round as numpy's do.  The initial step follows
+    Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4, as scipy does.
+    Returns ``(times, states, success, y_last)``: the samples of ``t_eval``
+    reached and their states, shape (len(times), 2); whether the steps
+    reached ``t1`` before the step size collapsed; the last accepted state.
+    """
+    K = np.empty((_N_STAGES + 1, 2))
+    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, _N_STAGES)]
+    K_head_T, K_T = K[:-1].T, K.T
+    y1, y2 = y0
+    f = reduced_vector_field((y1, y2), rc)
+    f1, f2 = f.tolist()
+    s1, s2 = _ATOL + abs(y1) * _RTOL, _ATOL + abs(y2) * _RTOL
+    d0, d1 = _rms(y1 / s1, y2 / s2), _rms(f1 / s1, f2 / s2)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+    g1, g2 = reduced_vector_field((y1 + h0 * f1, y2 + h0 * f2), rc).tolist()
+    # h0 underflows to 0 only for a huge or non-finite d1, where numpy's
+    # division gives inf or nan and either way h_abs = 0
+    d2 = _rms((g1 - f1) / s1, (g2 - f2) / s2) / h0 if h0 > 0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXPONENT
+    h_abs = min(100 * h0, h1, t1 - t0)
+
+    te = t_eval.tolist()
+    t, i, times, states = t0, 0, [], []
+    while t < t1:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return (*_samples(times, states), False, (y1, y2))
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, KT, a in stages:
+                dy1, dy2 = KT.dot(a).tolist()
+                K[s] = reduced_vector_field((y1 + dy1 * h, y2 + dy2 * h), rc)
+            b1, b2 = K_head_T.dot(_B).tolist()
+            n1, n2 = y1 + h * b1, y2 + h * b2
+            f_new = K[-1] = reduced_vector_field((n1, n2), rc)
+            e1, e2 = K_T.dot(_E).tolist()
+            # np.maximum would give nan where max() does not, but a nan
+            # state has a nan or infinite error, rejected either way
+            err = _rms(e1 * h / (_ATOL + max(abs(y1), abs(n1)) * _RTOL),
+                       e2 * h / (_ATOL + max(abs(y2), abs(n2)) * _RTOL))
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** -_ORDER_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXPONENT)
+            rejected = True
+        t_old, o1, o2 = t, y1, y2
+        t, y1, y2, f = t_new, n1, n2, f_new
+        j = i
+        while j < len(te) and te[j] <= t:
+            j += 1
+        if j > i:
+            # scipy's dense output on the step, for all its samples at once:
+            # the powers x, x^2, ... of the step fraction as its cumprod
+            # forms them, then one product with Q = K^T P
+            h = t - t_old
+            x = [(te[m] - t_old) / h for m in range(i, j)]
+            powers = [x]
+            for _ in range(_P.shape[1] - 1):
+                powers.append([a * b for a, b in zip(powers[-1], x)])
+            ys = h * np.dot(K_T.dot(_P), np.array(powers))
+            ys += np.array((o1, o2))[:, None]
+            times.append(t_eval[i:j])
+            states.append(ys)
+            i = j
+    return (*_samples(times, states), True, (y1, y2))
+
+
+def _samples(times: list, states: list) -> tuple[np.ndarray, np.ndarray]:
+    """Join ``_rk45``'s per-step sample times and (2, m) state blocks."""
+    if not times:
+        return np.empty(0), np.empty((0, 2))
+    return np.concatenate(times), np.concatenate(states, axis=1).T
+
+
 def integrate(
     rc: ReducedCoefficients,
     y0,
@@ -84,33 +194,28 @@ def integrate(
 ) -> Trajectory:
     """Integrate the truncated field from ``y0``, sampling every ``dt``.
 
-    The integrator is an adaptive embedded 4(5) Runge-Kutta pair with local
-    tolerance ~1e-10, restarted from the last sample of each chunk of at most
-    50 time units.  Sample k sits at ``k*dt``; ``t_end`` is the last sample
-    when it is off that grid.  Integration stops at the first sample whose
-    norm exceeds ``DEFAULT_BLOWUP`` (divergent) or that is inside the capture
-    radius of a known equilibrium with residual speed below tolerance,
-    blow-up first.  Each chunk is scanned as arrays: bounds that every
-    stopping sample meets pick the candidates, and only those get the exact
-    tests, in sample order.  When the step size collapses with the solver's
-    last accepted state beyond ten amplitude scales (finite-time blow-up),
-    the samples reached so far are returned as divergent.
+    The integrator is scipy's adaptive embedded 4(5) Runge-Kutta pair
+    (Dormand-Prince) with local tolerance ~1e-10, stepped in ``_rk45``,
+    restarted from the last sample of each chunk of at most 50 time units.
+    Sample k sits at ``k*dt``; ``t_end`` is the last sample when it is off
+    that grid.  Integration stops at the first sample whose norm exceeds
+    ``DEFAULT_BLOWUP`` (divergent) or that is inside the capture radius of a
+    known equilibrium with residual speed below tolerance, blow-up first.
+    Each chunk is scanned as arrays: bounds that every stopping sample meets
+    pick the candidates, and only those get the exact tests, in sample order.
+    When the step size collapses with the last accepted state beyond ten
+    amplitude scales (finite-time blow-up), the samples reached so far are
+    returned as divergent.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (2,) or not np.isfinite(y0).all():
+        raise ValueError(f"y0 must be a finite point (y1, y2), got {y0!r}")
     if equilibria_list is None:
         equilibria_list = equilibria(rc)
     radius = _capture_radius(rc)
     eq_y = np.array([e.y for e in equilibria_list], dtype=float).reshape(-1, 2)
-
-    def rhs(_t, y):
-        # Python floats do the same IEEE operations as numpy scalars, faster
-        return reduced_vector_field(y.tolist(), rc)
-
-    def solve(t, t1, y, t_eval=None):
-        return solve_ivp(rhs, (t, t1), y, method="RK45", rtol=1e-10, atol=1e-12,
-                         t_eval=t_eval, dense_output=False)
 
     times, states = [np.zeros(1)], [y0[None, :]]
     diverged = False
@@ -120,26 +225,23 @@ def integrate(
     # samples on the k*dt grid add no drift at restarts, whatever dt is
     chunk = max(dt, min(t_end / 20.0, 50.0))
     t, k = 0.0, 0
-    y = y0.copy()
+    y = tuple(y0.tolist())
     while t_end - t > 1e-9 * dt:
         t1 = min(t + chunk, t_end)
         t_eval = dt * np.arange(k + 1, t1 / dt + 1)
         t_eval = t_eval[t_eval <= t1]
         if len(t_eval) == 0:
             t_eval = np.array([t1])
-        sol = solve(t, t1, y, t_eval)
-        ts, ys = np.asarray(sol.t, dtype=float), np.reshape(sol.y, (2, -1)).T
-        if not sol.success:
+        ts, ys, success, y_last = _rk45(rc, t, t1, y, t_eval)
+        if not success:
             # step collapse in a polynomial field means finite-time blow-up;
-            # anything else is a real failure worth surfacing.  The steps do
-            # not depend on t_eval, so a rerun without it ends on the last
-            # accepted state, which the samples may lag far behind.
-            if np.linalg.norm(solve(t, t1, y).y[:, -1]) > 10.0 * _amplitude_scale(rc):
+            # anything else is a real failure worth surfacing
+            if np.linalg.norm(y_last) > 10.0 * _amplitude_scale(rc):
                 times.append(ts)
                 states.append(ys)
                 diverged = True
                 break
-            raise RuntimeError(f"planar integration failed: {sol.message}")
+            raise RuntimeError(f"planar integration failed: {RK45.TOO_SMALL_STEP}")
         # norm > DEFAULT_BLOWUP implies max|y_i| > DEFAULT_BLOWUP/sqrt(2), and
         # a Euclidean distance <= radius implies a Chebyshev one <= radius
         big = np.abs(ys).max(axis=1) > DEFAULT_BLOWUP / 2
@@ -157,7 +259,7 @@ def integrate(
         states.append(ys[:n])
         if diverged or terminal is not None:
             break
-        t, y, k = float(ts[n - 1]), ys[n - 1].copy(), k + n
+        t, y, k = float(ts[n - 1]), tuple(ys[n - 1].tolist()), k + n
     return Trajectory(np.concatenate(times), np.concatenate(states), terminal, diverged)
 
 

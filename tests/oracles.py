@@ -206,6 +206,24 @@ def count_root_clusters(field, box: float, n: int = 400) -> int:
     return current - clusters_with_origin
 
 
+def rk45_by_scipy(rc, t0: float, t1: float, y0, t_eval):
+    """Reference for ``planar._rk45``: scipy's own ``solve_ivp`` RK45 at the
+    same tolerances, on a numpy-array field.
+
+    Returns ``(times, states, success, y_last, nfev)``: the samples, with
+    states of shape (len(times), 2), scipy's success flag, the last accepted
+    state (from a rerun without ``t_eval``, which takes the same steps) and
+    the number of field evaluations of the run with ``t_eval``.
+    """
+    def run(t_eval=None):
+        return solve_ivp(lambda _t, y: reduced_vector_field(y, rc), (t0, t1), np.asarray(y0),
+                         method="RK45", rtol=1e-10, atol=1e-12, t_eval=t_eval)
+
+    sol = run(t_eval)
+    states = np.reshape(sol.y, (2, -1)).T
+    return np.asarray(sol.t, dtype=float), states, sol.success, run().y[:, -1], sol.nfev
+
+
 def integrate_by_sample(rc, y0, dt: float, t_end: float, equilibria_list=None):
     """Reference for ``planar.integrate`` with the same chunked ``solve_ivp``
     calls, but the stopping tests run on every sample in turn: blow-up

@@ -99,6 +99,16 @@ class TestCliBasics:
         assert "line 4: [ode] dt must be positive, got 0.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, entry, message", [
+        ("simulate", "[simulation]\nt_end = inf", "line 5: [simulation] t_end must be positive, got inf"),
+        ("ode", "[ode]\ny0_1 = nan", "line 5: [ode] y0_1 must be finite, got nan")],
+        ids=["simulate", "ode"])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, entry, message):
+        cfg = write(tmp_path / "nf.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n{entry}\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, section", [("simulate", "simulation"), ("sweep", "sweep")])
     def test_grid_range_is_a_config_error(self, tmp_path, capsys, kind, section):
         cfg = write(tmp_path / "grid.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -44,6 +45,13 @@ RANGE_CASES = [
     ("sweep", "sweep", "n2 = 33", "a power of two >= 32", "33"),
     ("sweep", "sweep", "dt = -0.02", "positive", "-0.02"),
     ("sweep", "sweep", "t_end = 0", "positive", "0.0"),
+    ("simulate", "simulation", "t_end = inf", "positive", "inf"),
+    ("simulate-full", "simulation", "dt = nan", "positive", "nan"),
+    ("sweep", "sweep", "t_end = inf", "positive", "inf"),
+    ("verify-theorem1", "verify", "pde_t_end = inf", "positive", "inf"),
+    ("ode", "ode", "t_end = inf", "positive", "inf"),
+    ("ode", "ode", "y0_1 = nan", "finite", "nan"),
+    ("ode", "ode", "y0_2 = -inf", "finite", "-inf"),
 ]
 
 WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
@@ -150,7 +158,9 @@ class TestParsing:
             parse_config(text)
 
     @pytest.mark.parametrize("kind, section, entry, requirement, got", RANGE_CASES,
-                             ids=[f"{sec}.{entry.partition(' =')[0]}" for _k, sec, entry, *_ in RANGE_CASES])
+                             ids=[f"{sec}.{entry.partition(' =')[0]}"
+                                  + ("" if math.isfinite(float(got)) else f"={got}")
+                                  for _k, sec, entry, _r, got in RANGE_CASES])
     def test_section_ranges(self, kind, section, entry, requirement, got):
         key = entry.partition(" =")[0]
         text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"

@@ -15,17 +15,27 @@ from chemopattern import (
     make_critical_geometry,
     reduced_vector_field,
 )
+from chemopattern import planar
 from chemopattern.core import DomainGeometry
 from chemopattern.planar import SHOOT_OFFSET, SHOOT_T_END, Trajectory
 from chemopattern.reduction import _amplitude_scale, vector_field_jacobian
 
-from oracles import integrate_by_sample
+from oracles import integrate_by_sample, rk45_by_scipy
 
 
 @pytest.fixture(scope="module")
 def rc_super(bench):
     _, _, _, rc = bench
     return replace(rc, sigma1=0.05, sigma2=0.05)
+
+
+def positive_cubic_rectangle():
+    """1.02 lambda_c on the (1, 1) rectangle with both cubic coefficients
+    made positive: trajectories blow up in finite time."""
+    p = ModelParams(8.0, 1.0, 18.0)
+    g = make_critical_geometry(1, 1, p)
+    rc = cubic_coefficients(replace(p, lam=1.02 * lambda_critical(p, g).lambda_c), g, 1, 1)
+    return rc.with_cubic_override(abs(rc.frak_b1), abs(rc.frak_b2))
 
 
 class TestTrajectoryValidation:
@@ -104,13 +114,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("dt", [0.05, 0.25, 1.0])
     def test_positive_cubics_blow_up_on_the_rectangle(self, dt):
-        # 1.02 lambda_c on the (1, 1) rectangle with both cubic coefficients
-        # made positive: every sample lags far behind the solver's state
-        p = ModelParams(8.0, 1.0, 18.0)
-        g = make_critical_geometry(1, 1, p)
-        rc = cubic_coefficients(replace(p, lam=1.02 * lambda_critical(p, g).lambda_c), g, 1, 1)
-        rc = rc.with_cubic_override(abs(rc.frak_b1), abs(rc.frak_b2))
-        traj = integrate(rc, (0.5, 0.5), dt=dt, t_end=100.0)
+        # every sample lags far behind the solver's state
+        traj = integrate(positive_cubic_rectangle(), (0.5, 0.5), dt=dt, t_end=100.0)
         assert traj.diverged
         assert traj.terminal_equilibrium is None
 
@@ -128,6 +133,12 @@ class TestIntegrate:
         assert np.allclose(steps[:-1], dt, rtol=0.0, atol=1e-9)
         assert traj.times[-1] == t_end
         assert steps[-1] == pytest.approx(last_step, abs=1e-9)
+
+    @pytest.mark.parametrize("y0", [(np.nan, 1e-3), (1e-3, np.inf), (1e-3,), (1e-3, 1e-3, 0.0),
+                                    ((1e-3, 1e-3),)], ids=["nan", "inf", "short", "long", "nested"])
+    def test_rejects_bad_start(self, rc_super, y0):
+        with pytest.raises(ValueError, match="y0 must be a finite point"):
+            integrate(rc_super, y0, dt=1.0, t_end=10.0)
 
     def test_adaptive_bitwise_reproducible(self, rc_super):
         a = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)
@@ -276,3 +287,77 @@ class TestScanOracle:
     def test_divergence(self, rc_super):
         traj = self.assert_same(rc_super.with_cubic_override(5.0, 5.0), (0.5, 0.5), 0.05, 100.0)
         assert traj.diverged
+
+
+class TestSolverOracle:
+    """``_rk45`` takes scipy's RK45 steps in-package; every solver call of an
+    ``integrate`` must give ``solve_ivp``'s bytes with as many field
+    evaluations."""
+
+    @staticmethod
+    def solver_calls(monkeypatch, rc, y0, dt, t_end, equilibria_list=None):
+        """Run ``integrate`` and return each ``_rk45`` call's arguments,
+        result and number of field evaluations."""
+        calls, count = [], [0]
+        field, rk45 = planar.reduced_vector_field, planar._rk45
+
+        def counting_field(y, rc_):
+            count[0] += 1
+            return field(y, rc_)
+
+        def recording_rk45(rc_, t0, t1, y, t_eval):
+            before = count[0]
+            out = rk45(rc_, t0, t1, y, t_eval)
+            calls.append(((rc_, t0, t1, y, t_eval.copy()), out, count[0] - before))
+            return out
+
+        monkeypatch.setattr(planar, "reduced_vector_field", counting_field)
+        monkeypatch.setattr(planar, "_rk45", recording_rk45)
+        integrate(rc, y0, dt, t_end, equilibria_list=equilibria_list)
+        monkeypatch.undo()
+        assert calls
+        return calls
+
+    @staticmethod
+    def assert_same(args, out, n_field):
+        times, states, success, y_last = out
+        ref_times, ref_states, ref_success, ref_last, nfev = rk45_by_scipy(*args)
+        assert times.tobytes() == ref_times.tobytes()
+        assert states.shape == ref_states.shape
+        assert states.tobytes() == ref_states.tobytes()
+        assert success is ref_success
+        assert np.array(y_last).tobytes() == ref_last.tobytes()
+        assert n_field == nfev
+
+    @pytest.mark.parametrize("dt", [1.0, 0.25])
+    def test_basin_rays(self, monkeypatch, rc_super, dt):
+        eqs = equilibria(rc_super)
+        for j in range(16):
+            theta = 2.0 * math.pi * j / 16
+            y0 = (0.01 * math.cos(theta), 0.01 * math.sin(theta))
+            for call in self.solver_calls(monkeypatch, rc_super, y0, dt, 4000.0, eqs):
+                self.assert_same(*call)
+
+    def test_saddle_shots(self, monkeypatch, rc_super):
+        eqs = equilibria(rc_super)
+        saddle = next(e for e in eqs if e.pattern_class == "hexagon")
+        eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(saddle.y, rc_super))
+        v = eigvecs[:, int(np.argmax(eigvals.real))].real
+        targets = [e for e in eqs if e is not saddle]
+        for sgn in (1.0, -1.0):
+            y0 = np.array(saddle.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
+            for call in self.solver_calls(monkeypatch, rc_super, y0, 1.0, SHOOT_T_END, targets):
+                self.assert_same(*call)
+
+    def test_single_sample_chunk(self, monkeypatch, rc_super):
+        # t_end below dt: the one chunk samples only t_end
+        calls = self.solver_calls(monkeypatch, rc_super, (1e-3, 2e-3), 1.0, 0.5)
+        assert len(calls) == 1 and calls[0][0][4].tolist() == [0.5]
+        self.assert_same(*calls[0])
+
+    @pytest.mark.parametrize("dt", [0.05, 1.0])
+    def test_step_collapse(self, monkeypatch, dt):
+        calls = self.solver_calls(monkeypatch, positive_cubic_rectangle(), (0.5, 0.5), dt, 100.0)
+        assert calls[-1][1][2] is False
+        for call in calls:
+            self.assert_same(*call)
