@@ -205,6 +205,10 @@ def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _positive_or_unset(x) -> bool:
+    return x is None or _positive(x)
+
+
 def _is_grid_size(n: int) -> bool:
     return n >= 32 and n & (n - 1) == 0
 
@@ -212,6 +216,8 @@ def _is_grid_size(n: int) -> bool:
 #: range checks on every value, set or defaulted: (section, keys,
 #: requirement, test)
 _RANGES = (
+    ("model", ("mu", "alpha", "lambda", "lambda_factor"), "positive", _positive_or_unset),
+    ("geometry", ("ell1", "ell2", "ell2_factor"), "positive", _positive_or_unset),
     ("ode", ("dt", "t_end", "ray_radius"), "positive", _positive),
     ("ode", ("n_rays",), ">= 1", lambda n: n >= 1),
     ("ode", ("y0_1", "y0_2"), "finite", math.isfinite),
@@ -335,11 +341,6 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
     model = cfg.data["model"]
     if model["lambda"] is not None and model["lambda_factor"] is not None:
         raise ConfigError("[model] lambda and lambda_factor are mutually exclusive")
-    for key in ("mu", "alpha"):
-        if model[key] is not None and model[key] <= 0:
-            raise ConfigError(f"[model] {key} must be positive, got {model[key]}")
-    if model["lambda"] is not None and model["lambda"] <= 0:
-        raise ConfigError(f"[model] lambda must be positive, got {model['lambda']}")
     phys = cfg.data["physical"]
     phys_given = any(v is not None for v in phys.values())
     if phys_given:
@@ -348,7 +349,7 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
             raise ConfigError(f"[physical] is incomplete: missing {', '.join(missing)}")
         if any(sec == "model" for sec, _ in lines):
             raise ConfigError("[physical] and [model] are mutually exclusive")
-        bad = [k for k, v in phys.items() if v <= 0]
+        bad = [k for k, v in phys.items() if not _positive(v)]
         if bad:
             raise ConfigError(f"[physical] entries must be positive: {', '.join(bad)}")
     geo = cfg.data["geometry"]

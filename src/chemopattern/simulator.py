@@ -16,9 +16,10 @@ Two integrators live here, sharing the spatial machinery of
   exact for a cubic nonlinearity), with gradient products rewritten through
   grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
   syntheses of the fields and their Laplacians are needed.  The syntheses of
-  one right-hand side are stacked into one batched transform, and so are its
-  two analyses, each running in place in a padded workspace that the
-  thread reuses across calls (see :func:`_workspace`).
+  one right-hand side are stacked into one batched transform into a padded
+  workspace that the thread reuses across calls (see :func:`_workspace`), and
+  so are its two analyses; both go through the right-hand-side transforms of
+  :mod:`chemopattern.transforms` (dense cosine matrices on small grids).
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -54,9 +55,10 @@ from .transforms import (
     NonFiniteError,
     SpectralField,
     coeffs_to_grid,
-    grid_to_coeffs,
     helmholtz_inverse,
     require_finite,
+    rhs_coeffs_to_grid,
+    rhs_grid_to_coeffs,
 )
 
 
@@ -215,12 +217,12 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> 
     table, _, gain, pad = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
     lam, alpha = p.lam, p.alpha
     c = u.coeffs
-    U, W, LapU = coeffs_to_grid(np.stack((c, gain * c, -table * c)), pad, out=_workspace(3, pad))
+    U, W, LapU = rhs_coeffs_to_grid(np.stack((c, gain * c, -table * c)), pad, _workspace(3, pad))
     LapW = W - U
     prod = _workspace(2, pad)
     prod[0] = 0.5 * lam * (W * LapU - U * LapW) - 3.0 * alpha * U * U - alpha * U * U * U
     np.multiply(U, W, out=prod[1])
-    g, uw = grid_to_coeffs(prod, (n1, n2), overwrite=True)
+    g, uw = rhs_grid_to_coeffs(prod, (n1, n2))
     return SpectralField(g + 0.5 * lam * table * uw, u.geometry)
 
 
@@ -444,12 +446,12 @@ class _PairStepper:
         product identity as in :func:`nonlinear_rhs`."""
         cfg = self.cfg
         alpha, pad, table = cfg.params.alpha, self.pad, self.table
-        U, V, LapU, LapV = coeffs_to_grid(np.stack((cu, cv, -table * cu, -table * cv)), pad,
-                                          out=_workspace(4, pad))
+        U, V, LapU, LapV = rhs_coeffs_to_grid(np.stack((cu, cv, -table * cu, -table * cv)),
+                                              pad, _workspace(4, pad))
         prod = _workspace(2, pad)
         prod[0] = 0.5 * (V * LapU - U * LapV) - 3.0 * alpha * U * U - alpha * U * U * U
         np.multiply(U, V, out=prod[1])
-        nu, uv = grid_to_coeffs(prod, (cfg.n1, cfg.n2), overwrite=True)
+        nu, uv = rhs_grid_to_coeffs(prod, (cfg.n1, cfg.n2))
         return nu + 0.5 * table * uv
 
     @staticmethod

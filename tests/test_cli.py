@@ -101,8 +101,11 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("kind, entry, message", [
         ("simulate", "[simulation]\nt_end = inf", "line 5: [simulation] t_end must be positive, got inf"),
-        ("ode", "[ode]\ny0_1 = nan", "line 5: [ode] y0_1 must be finite, got nan")],
-        ids=["simulate", "ode"])
+        ("ode", "[ode]\ny0_1 = nan", "line 5: [ode] y0_1 must be finite, got nan"),
+        ("reduce", "[model]\nlambda = inf", "line 5: [model] lambda must be positive, got inf"),
+        ("linear", "[geometry]\nell2_factor = inf",
+         "line 5: [geometry] ell2_factor must be positive, got inf")],
+        ids=["simulate", "ode", "reduce", "linear"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, entry, message):
         cfg = write(tmp_path / "nf.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n{entry}\n")
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -52,6 +52,14 @@ RANGE_CASES = [
     ("ode", "ode", "t_end = inf", "positive", "inf"),
     ("ode", "ode", "y0_1 = nan", "finite", "nan"),
     ("ode", "ode", "y0_2 = -inf", "finite", "-inf"),
+    ("linear", "model", "mu = inf", "positive", "inf"),
+    ("reduce", "model", "alpha = -1", "positive", "-1.0"),
+    ("reduce", "model", "lambda = inf", "positive", "inf"),
+    ("linear", "model", "lambda_factor = nan", "positive", "nan"),
+    ("linear", "model", "lambda_factor = 0", "positive", "0.0"),
+    ("verify-theorem1", "geometry", "ell1 = inf\nell2 = 4", "positive", "inf"),
+    ("linear", "geometry", "ell2 = -7\nell1 = 4", "positive", "-7.0"),
+    ("linear", "geometry", "ell2_factor = inf", "positive", "inf"),
 ]
 
 WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
@@ -113,6 +121,12 @@ class TestParsing:
         text = ("[experiment]\nkind = linear\n[model]\nmu = 8\n[physical]\n"
                 "d1 = 8\nd2 = 1\nchi = 1\nr1 = 18\nr2 = 1\nalpha1 = 1\nalpha2 = 1\n")
         with pytest.raises(ConfigError, match="mutually exclusive"):
+            parse_config(text)
+
+    def test_non_finite_physical_entry(self):
+        text = ("[experiment]\nkind = linear\n[physical]\nd1 = 1\nd2 = 1\nchi = inf\nr1 = 1\n"
+                "r2 = 1\nalpha1 = 1\nalpha2 = 1\n")
+        with pytest.raises(ConfigError, match=r"\[physical\] entries must be positive: chi$"):
             parse_config(text)
 
     def test_incomplete_physical_block(self):

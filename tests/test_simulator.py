@@ -376,7 +376,7 @@ def test_blow_up_error_survives_pickling():
 class TestStepperContract:
     """Every step makes one stepper call and two nonlinear right-hand-side
     evaluations, and every right-hand side one batched synthesis and one
-    batched analysis, through the names the per-layer benchmark trace wraps."""
+    batched analysis, through the right-hand-side transforms."""
 
     @staticmethod
     def count_calls(monkeypatch, run, targets):
@@ -409,8 +409,8 @@ class TestStepperContract:
     def test_one_synthesis_and_one_analysis_per_rhs_call(self, monkeypatch, run):
         counts, steps = self.count_calls(monkeypatch, run, [
             (simulator, "nonlinear_rhs", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
-            (simulator, "coeffs_to_grid", "synthesis"),
-            (simulator, "grid_to_coeffs", "analysis")])
+            (simulator, "rhs_coeffs_to_grid", "synthesis"),
+            (simulator, "rhs_grid_to_coeffs", "analysis")])
         assert counts == {"rhs": 2 * steps, "synthesis": 2 * steps, "analysis": 2 * steps}
 
 

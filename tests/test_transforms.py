@@ -13,10 +13,14 @@ from chemopattern import (
     transform_inverse,
 )
 from chemopattern.transforms import (
+    DENSE_MAX,
+    _cosine_matrices,
     coeffs_to_grid,
     collocation_points,
     grid_to_coeffs,
     laplacian,
+    rhs_coeffs_to_grid,
+    rhs_grid_to_coeffs,
 )
 
 GEOM = DomainGeometry(2.0 * math.sqrt(2.0) * math.pi / math.sqrt(3.0),
@@ -128,6 +132,45 @@ class TestBatchedTransforms:
         assert np.array_equal(grid_to_coeffs(values, base), expected)
         assert np.array_equal(values, kept)
         assert np.array_equal(grid_to_coeffs(values, base, overwrite=True), expected)
+
+
+def assert_rel_close(got, expected, rtol):
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+class TestDenseRhsTransforms:
+    # the right-hand sides' matrix path agrees with the dct functions to
+    # rounding below the cutoff and is exactly them above it
+    @pytest.mark.parametrize("base, grid", [((32, 32), (64, 64)), ((64, 64), (128, 128)),
+                                            ((32, 64), (64, 128))])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_agrees_with_dct_below_the_cutoff(self, base, grid, batch):
+        assert max(grid) <= DENSE_MAX
+        rng = np.random.default_rng(200 * batch + grid[1])
+        c = rng.normal(size=(batch, *base))
+        out = np.full((batch, *grid), np.nan)
+        assert rhs_coeffs_to_grid(c, grid, out) is out
+        assert_rel_close(out, coeffs_to_grid(c, grid), 1e-13)
+        values = rng.normal(size=(batch, *grid))
+        expected = grid_to_coeffs(values, base)
+        assert_rel_close(rhs_grid_to_coeffs(values, base), expected, 1e-13)
+
+    def test_is_the_dct_path_above_the_cutoff(self):
+        base, grid = (128, 128), (256, 256)
+        assert max(grid) > DENSE_MAX
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=(3, *base))
+        got = rhs_coeffs_to_grid(c, grid, np.full((3, *grid), np.nan))
+        assert np.array_equal(got, coeffs_to_grid(c, grid))
+        values = rng.normal(size=(2, *grid))
+        expected = grid_to_coeffs(values, base)
+        assert np.array_equal(rhs_grid_to_coeffs(values, base), expected)
+
+    def test_cached_matrices_are_read_only(self):
+        for matrix in _cosine_matrices(32, 64):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
 
 class TestHelmholtz:
