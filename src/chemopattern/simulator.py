@@ -16,9 +16,9 @@ Two integrators live here, sharing the spatial machinery of
   exact for a cubic nonlinearity), with gradient products rewritten through
   grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
   syntheses of the fields and their Laplacians are needed.  The syntheses of
-  one right-hand side are stacked into one batched transform into a padded
-  workspace that the thread reuses across calls (see :func:`_workspace`), and
-  so are its two analyses; both go through the right-hand-side transforms of
+  one right-hand side are one batched transform of coefficients staged by a
+  single multiplication with stacked multipliers, and its two analyses are
+  another; both go through the right-hand-side transforms of
   :mod:`chemopattern.transforms` (dense cosine matrices on small grids).
 
 * :func:`simulate_full_system` evolves the two-field parent model
@@ -35,6 +35,13 @@ Both run through one loop, :func:`_run`, over a stepper whose ``step`` maps
 a state (coefficients, or the ``(cu, cv)`` pair) to the next and raises
 ``NonFiniteError`` rather than return a non-finite one; the loop reports that
 as :class:`BlowUpError` at the time of the step.
+
+Each stepper builds its right-hand-side plan (:class:`_RhsPlan`) once: the
+stacked multipliers, the step's diagonal factors and every workspace, so a
+step does no set-up and allocates only the state it returns.  Workspaces are
+reused from call to call, so a stepper or plan serves one thread: the
+standalone :func:`step` and :func:`nonlinear_rhs` keep a bounded cache of
+them per thread, and nothing they return aliases a workspace.
 
 Determinism: given an identical :class:`SimConfig` (including the seed) the
 run is bitwise reproducible.
@@ -181,21 +188,83 @@ class Diagnostics:
 # scalar model
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _scalar_tables(n1: int, n2: int, geometry: DomainGeometry, params: ModelParams,
-                   dealias_factor: int):
-    table = rho_table(n1, n2, geometry)
-    sig = sigma(table, params)
-    gain = helmholtz_gain(table, 1.0)
-    pad = (dealias_factor * n1, dealias_factor * n2)
-    return table, sig, gain, pad
+class _RhsPlan:
+    """The transform side of one model's nonlinear right-hand side at one
+    resolution, built once: the multipliers that stage the coefficients of
+    the synthesized fields, and every workspace of the two batched
+    transforms and the pointwise products.
+
+    A right-hand side then allocates no grid-sized memory.  The workspaces
+    are reused by the next call, so one plan serves one thread, and nothing
+    a right-hand side returns may alias them.
+    """
+
+    def __init__(self, shape: tuple[int, int], dealias_factor: int, mult: np.ndarray,
+                 n_fields: int):
+        n1, n2 = shape
+        m1, m2 = pad = (dealias_factor * n1, dealias_factor * n2)
+        self.shape, self.pad, self.mult = shape, pad, mult
+        self.stage = np.empty((n_fields, n1, n2))
+        self.grid = np.empty((n_fields, m1, m2))
+        self.grid_rows = np.empty((n_fields, n1, m2))
+        self.prod = np.empty((2, m1, m2))
+        self.prod_rows = np.empty((2, m1, n2))
+        self.coeffs = np.empty((2, n1, n2))
+
+    def synthesize(self) -> np.ndarray:
+        """The staged fields on the padded grid (the ``grid`` workspace)."""
+        return rhs_coeffs_to_grid(self.stage, self.pad, self.grid, self.grid_rows)
+
+    def analyse(self) -> np.ndarray:
+        """The two products, truncated to the base resolution."""
+        return rhs_grid_to_coeffs(self.prod, self.shape, self.prod_rows, self.coeffs)
+
+
+class _ScalarRhs(_RhsPlan):
+    """:func:`nonlinear_rhs` of one model at one resolution."""
+
+    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
+                 dealias_factor: int):
+        table = rho_table(*shape, geometry)
+        mult = np.stack((np.ones_like(table), helmholtz_gain(table, 1.0), -table))
+        super().__init__(shape, dealias_factor, mult, 3)
+        self.half_lam, self.alpha = 0.5 * params.lam, params.alpha
+        self.three_alpha = 3.0 * params.alpha
+        self.half_lam_rho = 0.5 * params.lam * table
+
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The nonlinearity of coefficients ``c``, into ``out`` (default: a
+        fresh array)."""
+        np.multiply(self.mult, c, out=self.stage)
+        U, W, LapU = self.synthesize()
+        p0, p1 = self.prod
+        # 0.5*lam*(W*LapU - U*LapW) - 3*alpha*U*U - alpha*U*U*U, LapW = W - U
+        np.multiply(W, LapU, out=p0)
+        np.subtract(W, U, out=p1)
+        np.multiply(U, p1, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(self.half_lam, p0, out=p0)
+        np.multiply(self.three_alpha, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(self.alpha, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(U, W, out=p1)
+        g, uw = self.analyse()
+        return np.add(g, np.multiply(self.half_lam_rho, uw, out=uw), out=out)
 
 
 def linear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
     """Linear right-hand side: coefficient-wise multiplication by sigma(rho_k)."""
-    n1, n2 = u.shape
-    _, sig, _, _ = _scalar_tables(n1, n2, u.geometry, p, 2)
-    return SpectralField(sig * u.coeffs, u.geometry)
+    return SpectralField(sigma(rho_table(*u.shape, u.geometry), p) * u.coeffs, u.geometry)
+
+
+@lru_cache(maxsize=16)
+def _cached_scalar_rhs(thread: int, *args) -> _ScalarRhs:
+    """One plan per thread and argument set for :func:`nonlinear_rhs`."""
+    return _ScalarRhs(*args)
 
 
 def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> SpectralField:
@@ -213,33 +282,8 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> 
     """
     if dealias_factor < 2:
         raise ValueError("dealias_factor must be >= 2 for the cubic nonlinearity")
-    n1, n2 = u.shape
-    table, _, gain, pad = _scalar_tables(n1, n2, u.geometry, p, dealias_factor)
-    lam, alpha = p.lam, p.alpha
-    c = u.coeffs
-    U, W, LapU = rhs_coeffs_to_grid(np.stack((c, gain * c, -table * c)), pad, _workspace(3, pad))
-    LapW = W - U
-    prod = _workspace(2, pad)
-    prod[0] = 0.5 * lam * (W * LapU - U * LapW) - 3.0 * alpha * U * U - alpha * U * U * U
-    np.multiply(U, W, out=prod[1])
-    g, uw = rhs_grid_to_coeffs(prod, (n1, n2))
-    return SpectralField(g + 0.5 * lam * table * uw, u.geometry)
-
-
-_workspaces = threading.local()
-
-
-def _workspace(batch: int, pad: tuple[int, int]) -> np.ndarray:
-    """This thread's reused (batch, *pad) scratch grid for the right-hand sides.
-
-    Its contents are only valid until the next right-hand side in the same
-    thread, so nothing a right-hand side returns may alias it.
-    """
-    arrays = _workspaces.__dict__.setdefault("arrays", {})
-    key = (batch, pad)
-    if key not in arrays:
-        arrays[key] = np.empty((batch, *pad))
-    return arrays[key]
+    rhs = _cached_scalar_rhs(threading.get_ident(), u.shape, u.geometry, p, dealias_factor)
+    return SpectralField(rhs(u.coeffs), u.geometry)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -254,31 +298,44 @@ class _ScalarStepper:
 
     The linear diagonal part is advanced exactly by exp(sigma_k * dt); the
     nonlinearity enters through a midpoint quadrature of the
-    variation-of-constants integral, which is second order.
+    variation-of-constants integral, which is second order.  The stepper
+    owns its right-hand-side plan and workspaces, so one stepper serves one
+    thread.
     """
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
                  dt: float, dealias_factor: int, nonlinear: bool):
-        _, sig, _, _ = _scalar_tables(*shape, geometry, params, dealias_factor)
-        self.geometry, self.params, self.dt = geometry, params, dt
-        self.dealias_factor, self.nonlinear = dealias_factor, nonlinear
+        sig = sigma(rho_table(*shape, geometry), params)
+        self.nonlinear = nonlinear
         self.exp_full = np.exp(sig * dt)
-        self.exp_half = np.exp(sig * dt / 2.0)
-        self.phi_half = _phi1(sig * dt / 2.0)
+        if nonlinear:
+            exp_half = np.exp(sig * dt / 2.0)
+            self.exp_half = exp_half
+            self.half_dt_phi_half = (dt / 2.0) * _phi1(sig * dt / 2.0)
+            self.dt_exp_half = dt * exp_half
+            self._rhs = _ScalarRhs(shape, geometry, params, dealias_factor)
+            self._n = np.empty(shape)
+            self._c_half = np.empty(shape)
+
+    def _nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._rhs(c, out)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         out = self.exp_full * c
         if self.nonlinear:
-            g, p, f, dt = self.geometry, self.params, self.dealias_factor, self.dt
-            n0 = nonlinear_rhs(SpectralField(c, g), p, f).coeffs
-            c_half = self.exp_half * c + (dt / 2.0) * self.phi_half * n0
-            n_half = nonlinear_rhs(SpectralField(c_half, g), p, f).coeffs
-            out = out + dt * self.exp_half * n_half
+            n = self._nonlinear(c, self._n)
+            c_half = np.multiply(self.exp_half, c, out=self._c_half)
+            c_half += np.multiply(self.half_dt_phi_half, n, out=n)
+            n = self._nonlinear(c_half, n)
+            out += np.multiply(self.dt_exp_half, n, out=n)
         return require_finite(out, "state")
 
 
-#: Standalone :func:`step` calls with equal arguments share one stepper.
-_cached_scalar_stepper = lru_cache(maxsize=16)(_ScalarStepper)
+@lru_cache(maxsize=16)
+def _cached_scalar_stepper(thread: int, *args) -> _ScalarStepper:
+    """Standalone :func:`step` calls with equal arguments in one thread share
+    one stepper; threads never share one, as its workspaces are reused."""
+    return _ScalarStepper(*args)
 
 
 def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) -> SpectralField:
@@ -287,7 +344,8 @@ def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) ->
     Raises :class:`BlowUpError`, with no time, when the step or its midpoint
     produces non-finite values.
     """
-    stepper = _cached_scalar_stepper(u.shape, u.geometry, p, dt, 2, nonlinear)
+    stepper = _cached_scalar_stepper(threading.get_ident(), u.shape, u.geometry, p, dt, 2,
+                                     nonlinear)
     try:
         c = stepper.step(u.coeffs)
     except NonFiniteError:
@@ -425,52 +483,92 @@ def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
     return E, P
 
 
+class _PairRhs(_RhsPlan):
+    """The two-field model's nonlinear cell-density term at one resolution."""
+
+    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
+                 dealias_factor: int):
+        table = rho_table(*shape, geometry)
+        # staged as (cu, cv, mult[1]*cu, mult[1]*cv)
+        super().__init__(shape, dealias_factor, np.stack((np.ones_like(table), -table)), 4)
+        self.alpha, self.three_alpha = params.alpha, 3.0 * params.alpha
+        self.half_rho = 0.5 * table
+
+    def __call__(self, cu: np.ndarray, cv: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, through the
+        product identity as in :func:`nonlinear_rhs`, into ``out`` (default: a
+        fresh array)."""
+        np.multiply(self.mult, cu, out=self.stage[0::2])
+        np.multiply(self.mult, cv, out=self.stage[1::2])
+        U, V, LapU, LapV = self.synthesize()
+        p0, p1 = self.prod
+        # 0.5*(V*LapU - U*LapV) - 3*alpha*U*U - alpha*U*U*U
+        np.multiply(V, LapU, out=p0)
+        np.multiply(U, LapV, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(0.5, p0, out=p0)
+        np.multiply(self.three_alpha, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(self.alpha, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.subtract(p0, p1, out=p0)
+        np.multiply(U, V, out=p1)
+        nu, uv = self.analyse()
+        return np.add(nu, np.multiply(self.half_rho, uv, out=uv), out=out)
+
+
 class _PairStepper:
-    """Exponential-midpoint stepper for the coupled (u, v) system."""
+    """Exponential-midpoint stepper for the coupled (u, v) system.  Like
+    :class:`_ScalarStepper` it owns its plan and workspaces."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
         p, g = cfg.params, cfg.geometry
-        table = rho_table(cfg.n1, cfg.n2, g)
+        shape = (cfg.n1, cfg.n2)
+        table = rho_table(*shape, g)
         A11 = -p.mu * table - 2.0 * p.alpha
         A12 = table.copy()
         A21 = np.full_like(table, p.lam)
         A22 = -(1.0 + table)
         self.E_full, _ = _pair_matrix_functions(A11, A12, A21, A22, cfg.dt)
         self.E_half, self.P_half = _pair_matrix_functions(A11, A12, A21, A22, cfg.dt / 2.0)
-        self.pad = (cfg.dealias_factor * cfg.n1, cfg.dealias_factor * cfg.n2)
-        self.table = table
+        self.dt, self.nonlinear = cfg.dt, cfg.nonlinear
+        self._t = np.empty(shape)
+        if cfg.nonlinear:
+            self._rhs = _PairRhs(shape, g, p, cfg.dealias_factor)
+            self._n, self._hu, self._hv = np.empty(shape), np.empty(shape), np.empty(shape)
 
-    def _nonlinear(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, through the
-        product identity as in :func:`nonlinear_rhs`."""
-        cfg = self.cfg
-        alpha, pad, table = cfg.params.alpha, self.pad, self.table
-        U, V, LapU, LapV = rhs_coeffs_to_grid(np.stack((cu, cv, -table * cu, -table * cv)),
-                                              pad, _workspace(4, pad))
-        prod = _workspace(2, pad)
-        prod[0] = 0.5 * (V * LapU - U * LapV) - 3.0 * alpha * U * U - alpha * U * U * U
-        np.multiply(U, V, out=prod[1])
-        nu, uv = rhs_grid_to_coeffs(prod, (cfg.n1, cfg.n2))
-        return nu + 0.5 * table * uv
+    def _nonlinear(self, cu: np.ndarray, cv: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        return self._rhs(cu, cv, out)
 
-    @staticmethod
-    def _mat(E, u, v):
+    def _mat(self, E, u, v, out_u=None, out_v=None):
+        """(E11*u + E12*v, E21*u + E22*v), into ``out_u``/``out_v`` (default:
+        fresh arrays)."""
         E11, E12, E21, E22 = E
-        return E11 * u + E12 * v, E21 * u + E22 * v
+        out_u = np.multiply(E11, u, out=out_u)
+        out_u += np.multiply(E12, v, out=self._t)
+        out_v = np.multiply(E21, u, out=out_v)
+        out_v += np.multiply(E22, v, out=self._t)
+        return out_u, out_v
 
     def step(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         cu, cv = state
         fu, fv = self._mat(self.E_full, cu, cv)
-        if self.cfg.nonlinear:
+        if self.nonlinear:
             # the nonlinearity enters the u equation only: (n, 0) blocks
-            dt = self.cfg.dt
+            dt, t = self.dt, self._t
             P11, _, P21, _ = self.P_half
             E11, _, E21, _ = self.E_half
-            n0 = self._nonlinear(cu, cv)
-            hu, hv = self._mat(self.E_half, cu, cv)
-            n1 = self._nonlinear(hu + (dt / 2.0) * (P11 * n0), hv + (dt / 2.0) * (P21 * n0))
-            fu, fv = fu + dt * (E11 * n1), fv + dt * (E21 * n1)
+            n = self._nonlinear(cu, cv, self._n)
+            hu, hv = self._mat(self.E_half, cu, cv, self._hu, self._hv)
+            hu += np.multiply(np.multiply(P11, n, out=t), dt / 2.0, out=t)
+            hv += np.multiply(np.multiply(P21, n, out=t), dt / 2.0, out=t)
+            n = self._nonlinear(hu, hv, n)
+            fu += np.multiply(np.multiply(E11, n, out=t), dt, out=t)
+            fv += np.multiply(np.multiply(E21, n, out=t), dt, out=t)
         return require_finite(fu, "u"), require_finite(fv, "v")
 
 

@@ -30,8 +30,10 @@ The right-hand sides transform through :func:`rhs_coeffs_to_grid` and
 than in arithmetic, these multiply by cached dense cosine matrices (one BLAS
 ``matmul`` per axis); the dealiasing truncation is then the shape of the
 matrices.  They agree with the ``dct`` path to rounding, not bitwise, and
-their bytes depend on the BLAS kernel.  Beyond ``DENSE_MAX`` they are the
-``dct`` functions.
+their bytes depend on the BLAS kernel.  On that path they take the caller's
+arrays for the intermediate product and the analysed result, so a caller that
+keeps them allocates no grid-sized memory per call.  Beyond ``DENSE_MAX``
+they are the ``dct`` functions.
 """
 
 from __future__ import annotations
@@ -172,24 +174,35 @@ def _cosine_matrices(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return C, A
 
 
-def rhs_coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int], out: np.ndarray) -> np.ndarray:
+def rhs_coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int], out: np.ndarray,
+                       rows: np.ndarray | None = None) -> np.ndarray:
     """:func:`coeffs_to_grid` of a right-hand side: the same synthesis into
     ``out`` (overwritten entirely), through the dense matrices on grids up to
-    ``DENSE_MAX`` per axis.  Returns ``out``."""
+    ``DENSE_MAX`` per axis.  Returns ``out``.
+
+    ``rows``, a C-contiguous ``(*batch, n1, shape[1])`` array, takes the
+    intermediate product of the dense path (default: a fresh array)."""
     if max(shape) > DENSE_MAX:
         return coeffs_to_grid(coeffs, shape, out=out)
     n1, n2 = coeffs.shape[-2:]
     C1, _ = _cosine_matrices(n1, shape[0])
     C2, _ = _cosine_matrices(n2, shape[1])
     # the batch folds into the row count of the first product
-    rows = (coeffs.reshape(-1, n2) @ C2.T).reshape(*coeffs.shape[:-1], shape[1])
-    return np.matmul(C1, rows, out=out)
+    flat = None if rows is None else rows.reshape(-1, shape[1])
+    rows = np.matmul(coeffs.reshape(-1, n2), C2.T, out=flat)
+    return np.matmul(C1, rows.reshape(*coeffs.shape[:-1], shape[1]), out=out)
 
 
-def rhs_grid_to_coeffs(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def rhs_grid_to_coeffs(values: np.ndarray, shape: tuple[int, int],
+                       rows: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """:func:`grid_to_coeffs` of a right-hand side: the same analysis
     truncated to ``shape``, through the dense matrices on grids up to
-    ``DENSE_MAX`` per axis.  ``values`` may be overwritten."""
+    ``DENSE_MAX`` per axis.  ``values`` may be overwritten.
+
+    On the dense path ``rows``, a C-contiguous ``(*batch, m1, shape[1])``
+    array, takes the intermediate product and ``out`` the result (default:
+    fresh arrays); beyond ``DENSE_MAX`` the result is a fresh array."""
     m1, m2 = values.shape[-2:]
     if max(m1, m2) > DENSE_MAX:
         return grid_to_coeffs(values, shape, overwrite=True)
@@ -201,8 +214,9 @@ def rhs_grid_to_coeffs(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray
     # of the field rather than to its offset.
     offset = values[..., :1, :1].copy()
     values -= offset
-    rows = (values.reshape(-1, m2) @ A2.T).reshape(*values.shape[:-1], shape[1])
-    coeffs = A1 @ rows
+    flat = None if rows is None else rows.reshape(-1, shape[1])
+    rows = np.matmul(values.reshape(-1, m2), A2.T, out=flat)
+    coeffs = np.matmul(A1, rows.reshape(*values.shape[:-1], shape[1]), out=out)
     coeffs[..., :1, :1] += offset
     return coeffs
 

@@ -401,14 +401,14 @@ class TestStepperContract:
     @pytest.mark.parametrize("run", [simulate, simulate_full_system])
     def test_two_rhs_calls_and_one_step_call_per_step(self, monkeypatch, run):
         counts, steps = self.count_calls(monkeypatch, run, [
-            (simulator, "nonlinear_rhs", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
+            (_ScalarStepper, "_nonlinear", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
             (_ScalarStepper, "step", "step"), (_PairStepper, "step", "step")])
         assert counts == {"rhs": 2 * steps, "step": steps}
 
     @pytest.mark.parametrize("run", [simulate, simulate_full_system])
     def test_one_synthesis_and_one_analysis_per_rhs_call(self, monkeypatch, run):
         counts, steps = self.count_calls(monkeypatch, run, [
-            (simulator, "nonlinear_rhs", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
+            (_ScalarStepper, "_nonlinear", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
             (simulator, "rhs_coeffs_to_grid", "synthesis"),
             (simulator, "rhs_grid_to_coeffs", "analysis")])
         assert counts == {"rhs": 2 * steps, "synthesis": 2 * steps, "analysis": 2 * steps}
