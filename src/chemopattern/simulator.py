@@ -16,10 +16,10 @@ Two integrators live here, sharing the spatial machinery of
   exact for a cubic nonlinearity), with gradient products rewritten through
   grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
   syntheses of the fields and their Laplacians are needed.  The syntheses of
-  one right-hand side are one batched transform of coefficients staged by a
-  single multiplication with stacked multipliers, and its two analyses are
-  another; both go through the right-hand-side transforms of
-  :mod:`chemopattern.transforms` (dense cosine matrices on small grids).
+  one right-hand side are one batched transform of the staged fields, and
+  its two analyses are another; both go through the right-hand-side
+  transforms of :mod:`chemopattern.transforms` (dense cosine matrices on
+  small grids).
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -37,9 +37,11 @@ a state (coefficients, or the ``(cu, cv)`` pair) to the next and raises
 as :class:`BlowUpError` at the time of the step.
 
 Each stepper builds its right-hand-side plan (:class:`_RhsPlan`) once: the
-stacked multipliers, the step's diagonal factors and every workspace, so a
-step does no set-up and allocates only the state it returns.  Workspaces are
-reused from call to call, so a stepper or plan serves one thread: the
+multipliers that stage the synthesized fields, the step's diagonal factors
+and every workspace, so a step does no set-up and allocates only the state it
+returns.  The pointwise nonlinearities are folded algebraically so that they
+take few passes over the padded grid (see :class:`_ScalarRhs`).  Workspaces
+are reused from call to call, so a stepper or plan serves one thread: the
 standalone :func:`step` and :func:`nonlinear_rhs` keep a bounded cache of
 them per thread, and nothing they return aliases a workspace.
 
@@ -190,20 +192,21 @@ class Diagnostics:
 
 class _RhsPlan:
     """The transform side of one model's nonlinear right-hand side at one
-    resolution, built once: the multipliers that stage the coefficients of
-    the synthesized fields, and every workspace of the two batched
-    transforms and the pointwise products.
+    resolution, built once: every workspace of the two batched transforms
+    and of the pointwise products.  A subclass adds the multipliers that
+    stage the synthesized fields from the coefficients.
 
-    A right-hand side then allocates no grid-sized memory.  The workspaces
-    are reused by the next call, so one plan serves one thread, and nothing
-    a right-hand side returns may alias them.
+    A right-hand side then allocates no grid-sized memory.  (Each field is
+    staged by its own multiplication: numpy buffers a broadcasting ufunc
+    call through a temporary of up to 8192 elements.)  The workspaces are
+    reused by the next call, so one plan serves one thread, and nothing a
+    right-hand side returns may alias them.
     """
 
-    def __init__(self, shape: tuple[int, int], dealias_factor: int, mult: np.ndarray,
-                 n_fields: int):
+    def __init__(self, shape: tuple[int, int], dealias_factor: int, n_fields: int):
         n1, n2 = shape
         m1, m2 = pad = (dealias_factor * n1, dealias_factor * n2)
-        self.shape, self.pad, self.mult = shape, pad, mult
+        self.shape, self.pad = shape, pad
         self.stage = np.empty((n_fields, n1, n2))
         self.grid = np.empty((n_fields, m1, m2))
         self.grid_rows = np.empty((n_fields, n1, m2))
@@ -226,31 +229,30 @@ class _ScalarRhs(_RhsPlan):
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
                  dealias_factor: int):
         table = rho_table(*shape, geometry)
-        mult = np.stack((np.ones_like(table), helmholtz_gain(table, 1.0), -table))
-        super().__init__(shape, dealias_factor, mult, 3)
-        self.half_lam, self.alpha = 0.5 * params.lam, params.alpha
-        self.three_alpha = 3.0 * params.alpha
-        self.half_lam_rho = 0.5 * params.lam * table
+        super().__init__(shape, dealias_factor, 3)
+        half_lam = 0.5 * params.lam
+        # the multipliers of w and of D = (lam/2)*(Lap(u) - u)
+        self.gain, self.d_mult = helmholtz_gain(table, 1.0), -half_lam * (table + 1.0)
+        self.alpha, self.quad = params.alpha, half_lam - 3.0 * params.alpha
+        self.half_lam_rho = half_lam * table
 
     def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nonlinearity of coefficients ``c``, into ``out`` (default: a
         fresh array)."""
-        np.multiply(self.mult, c, out=self.stage)
-        U, W, LapU = self.synthesize()
+        u, w, d = self.stage
+        np.copyto(u, c)
+        np.multiply(self.gain, c, out=w)
+        np.multiply(self.d_mult, c, out=d)
+        U, W, D = self.synthesize()
         p0, p1 = self.prod
-        # 0.5*lam*(W*LapU - U*LapW) - 3*alpha*U*U - alpha*U*U*U, LapW = W - U
-        np.multiply(W, LapU, out=p0)
-        np.subtract(W, U, out=p1)
-        np.multiply(U, p1, out=p1)
-        np.subtract(p0, p1, out=p0)
-        np.multiply(self.half_lam, p0, out=p0)
-        np.multiply(self.three_alpha, U, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.subtract(p0, p1, out=p0)
+        # (lam/2)*(W*LapU - U*LapW) - 3*alpha*U^2 - alpha*U^3 with LapW = W - U
+        # is W*D + U^2*(lam/2 - 3*alpha - alpha*U)
         np.multiply(self.alpha, U, out=p1)
+        np.subtract(self.quad, p1, out=p1)
         np.multiply(p1, U, out=p1)
         np.multiply(p1, U, out=p1)
-        np.subtract(p0, p1, out=p0)
+        np.multiply(W, D, out=p0)
+        np.add(p0, p1, out=p0)
         np.multiply(U, W, out=p1)
         g, uw = self.analyse()
         return np.add(g, np.multiply(self.half_lam_rho, uw, out=uw), out=out)
@@ -309,10 +311,9 @@ class _ScalarStepper:
         self.nonlinear = nonlinear
         self.exp_full = np.exp(sig * dt)
         if nonlinear:
-            exp_half = np.exp(sig * dt / 2.0)
-            self.exp_half = exp_half
+            self.exp_half = np.exp(sig * dt / 2.0)
             self.half_dt_phi_half = (dt / 2.0) * _phi1(sig * dt / 2.0)
-            self.dt_exp_half = dt * exp_half
+            self.dt_exp_half = dt * self.exp_half
             self._rhs = _ScalarRhs(shape, geometry, params, dealias_factor)
             self._n = np.empty(shape)
             self._c_half = np.empty(shape)
@@ -489,9 +490,9 @@ class _PairRhs(_RhsPlan):
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
                  dealias_factor: int):
         table = rho_table(*shape, geometry)
-        # staged as (cu, cv, mult[1]*cu, mult[1]*cv)
-        super().__init__(shape, dealias_factor, np.stack((np.ones_like(table), -table)), 4)
-        self.alpha, self.three_alpha = params.alpha, 3.0 * params.alpha
+        super().__init__(shape, dealias_factor, 4)
+        self.half_lap = -0.5 * table
+        self.alpha, self.quad = params.alpha, -3.0 * params.alpha
         self.half_rho = 0.5 * table
 
     def __call__(self, cu: np.ndarray, cv: np.ndarray,
@@ -499,22 +500,23 @@ class _PairRhs(_RhsPlan):
         """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3, through the
         product identity as in :func:`nonlinear_rhs`, into ``out`` (default: a
         fresh array)."""
-        np.multiply(self.mult, cu, out=self.stage[0::2])
-        np.multiply(self.mult, cv, out=self.stage[1::2])
-        U, V, LapU, LapV = self.synthesize()
+        u, v, x, y = self.stage
+        np.copyto(u, cu)
+        np.copyto(v, cv)
+        np.multiply(self.half_lap, cu, out=x)
+        np.multiply(self.half_lap, cv, out=y)
+        # X = Lap(u)/2 and Y = Lap(v)/2
+        U, V, X, Y = self.synthesize()
         p0, p1 = self.prod
-        # 0.5*(V*LapU - U*LapV) - 3*alpha*U*U - alpha*U*U*U
-        np.multiply(V, LapU, out=p0)
-        np.multiply(U, LapV, out=p1)
-        np.subtract(p0, p1, out=p0)
-        np.multiply(0.5, p0, out=p0)
-        np.multiply(self.three_alpha, U, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.subtract(p0, p1, out=p0)
+        # 0.5*(V*LapU - U*LapV) - 3*alpha*U^2 - alpha*U^3
+        # is V*X - U*Y + U^2*(-3*alpha - alpha*U)
         np.multiply(self.alpha, U, out=p1)
+        np.subtract(self.quad, p1, out=p1)
         np.multiply(p1, U, out=p1)
         np.multiply(p1, U, out=p1)
-        np.subtract(p0, p1, out=p0)
+        np.multiply(V, X, out=p0)
+        np.subtract(p0, np.multiply(U, Y, out=Y), out=p0)
+        np.add(p0, p1, out=p0)
         np.multiply(U, V, out=p1)
         nu, uv = self.analyse()
         return np.add(nu, np.multiply(self.half_rho, uv, out=uv), out=out)

@@ -211,13 +211,16 @@ def rhs_grid_to_coeffs(values: np.ndarray, shape: tuple[int, int],
     # A constant analyses exactly to the (0, 0) coefficient.  Taking one out
     # first keeps the other coefficients of a constant field exactly zero, as
     # the dct's are, and their rounding error proportional to the variation
-    # of the field rather than to its offset.
-    offset = values[..., :1, :1].copy()
-    values -= offset
+    # of the field rather than to its offset.  It is taken out field by
+    # field: numpy buffers a broadcasting subtraction through a temporary.
+    fields = values.reshape(-1, m1, m2)
+    offset = fields[:, 0, 0].copy()
+    for field, o in zip(fields, offset):
+        field -= o
     flat = None if rows is None else rows.reshape(-1, shape[1])
-    rows = np.matmul(values.reshape(-1, m2), A2.T, out=flat)
+    rows = np.matmul(fields.reshape(-1, m2), A2.T, out=flat)
     coeffs = np.matmul(A1, rows.reshape(*values.shape[:-1], shape[1]), out=out)
-    coeffs[..., :1, :1] += offset
+    coeffs[..., 0, 0] += offset.reshape(values.shape[:-2])
     return coeffs
 
 

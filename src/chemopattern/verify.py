@@ -198,6 +198,9 @@ def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
                                      fmt(b.y[0]), fmt(b.y[1]), b.pattern_class]))
     for note in desc.notes:
         graph_rows.append(f"note\t{note}")
+    if max(rc.sigma1, rc.sigma2) <= 0 and all(e.pattern_class == "trivial" for e in desc.equilibria):
+        graph_rows.append(f"note\tsigma1 = {fmt(rc.sigma1)}, sigma2 = {fmt(rc.sigma2)} <= 0: "
+                          "no nontrivial equilibria exist at this coupling")
 
     return _write(cfg, {"ode_trajectory.tsv": trajectory_text(traj),
                         "ode_basins.tsv": "\n".join(basin_rows) + "\n",

@@ -195,6 +195,18 @@ class TestOdeCli:
         assert np.allclose(np.diff(times), 0.1, rtol=0.0, atol=1e-9)
 
 
+    @pytest.mark.parametrize("model, note", [
+        ("", "note\tsigma1 = 0, sigma2 = 0 <= 0: no nontrivial equilibria exist at this coupling"),
+        ("[model]\nlambda_factor = 1.02\n", None)], ids=["critical", "supercritical"])
+    def test_attractor_notes_when_sigma_is_not_positive(self, tmp_path, model, note):
+        cfg = write(tmp_path / "ode.cfg", "[experiment]\nkind = ode\n" + model +
+                    "[ode]\nt_end = 50\nn_rays = 4\n")
+        assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "ode_attractor.tsv").read_text().splitlines()
+        sigma_notes = [r for r in rows if r.startswith("note\tsigma")]
+        assert sigma_notes == ([note] if note else [])
+
+
 class TestVerifyCli:
     def test_verify_theorem2_reports_and_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "v2.cfg", "[experiment]\nkind = verify-theorem2\nseed = 1\n")

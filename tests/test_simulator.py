@@ -2,6 +2,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from chemopattern.simulator import (
     _ScalarStepper,
 )
 
-from oracles import nonlinear_by_quadrature, pair_nonlinear_by_quadrature
+from oracles import (
+    nonlinear_by_dct,
+    nonlinear_by_quadrature,
+    pair_nonlinear_by_dct,
+    pair_nonlinear_by_quadrature,
+)
 
 P = ModelParams(8.0, 1.0, 18.0)
 G = make_critical_geometry(1, 1, P)
@@ -40,6 +46,13 @@ def single_mode(k1, k2, amp=1.0, n=32):
     c = np.zeros((n, n))
     c[k1, k2] = amp
     return SpectralField(c, G)
+
+
+def random_field(rng, shape, amp):
+    """Coefficients uniform in [-amp, amp] on the modes k1, k2 < 8, zero beyond."""
+    c = np.zeros(shape)
+    c[:8, :8] = rng.uniform(-amp, amp, size=(8, 8))
+    return c
 
 
 class TestLinearRhs:
@@ -215,6 +228,30 @@ class TestStep:
         assert err.value.time is None
         assert "blew up at t" not in str(err.value)
 
+    def test_threads_do_not_share_a_stepper(self):
+        rng = np.random.default_rng(26)
+        fields = [SpectralField(random_field(rng, (32, 32), 0.2), G) for _ in range(4)]
+        expected = [step(u, P, 0.05).coeffs for u in fields]
+        mismatches = []
+
+        def work(i):
+            for _ in range(25):
+                if not np.array_equal(step(fields[i], P, 0.05).coeffs, expected[i]):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
     def test_repeated_calls_share_one_stepper(self, monkeypatch):
         built = []
         init = _ScalarStepper.__init__
@@ -235,6 +272,79 @@ class TestStep:
         for _ in range(20):
             c = _ScalarStepper((32, 32), G, P, 0.05, 2, True).step(c)
         assert np.array_equal(u.coeffs, c)
+
+
+class TestFoldedNonlinearity:
+    """Both models' right-hand sides against their unfolded form on plain
+    ``dct`` transforms, on padded grids on both sides of ``DENSE_MAX``.
+
+    The exact multiplication of the analysed product by (lam/2)*rho_k (1/2*rho_k
+    in the two-field model) amplifies its rounding in the high modes, where
+    the exact result of these fields is zero; each difference is divided by
+    that factor plus one before it is compared with the largest entry."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (32, 64), (128, 128)])
+    def test_scalar(self, shape):
+        p = ModelParams(8.0, 1.0, 18.36)
+        c = random_field(np.random.default_rng(31), shape, 0.1)
+        got = _ScalarStepper(shape, G, p, 0.05, 2, True)._nonlinear(c)
+        want = nonlinear_by_dct(c, G, p)
+        amplification = 1.0 + 0.5 * p.lam * rho_table(*shape, G)
+        assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (32, 64), (128, 128)])
+    def test_pair(self, shape):
+        rng = np.random.default_rng(32)
+        cu, cv = random_field(rng, shape, 0.1), random_field(rng, shape, 0.5)
+        got = _PairStepper(sim_config(n1=shape[0], n2=shape[1]))._nonlinear(cu, cv)
+        want = pair_nonlinear_by_dct(cu, cv, G, P)
+        amplification = 1.0 + 0.5 * rho_table(*shape, G)
+        assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestPlanBuffers:
+    """Steppers and right-hand sides reuse their plan's workspaces, so what
+    they return must be fresh, and a step allocates no grid-sized memory."""
+
+    @staticmethod
+    def buffers(*owners):
+        return [a for o in owners for a in vars(o).values() if isinstance(a, np.ndarray)]
+
+    def test_results_are_not_plan_buffers(self):
+        rng = np.random.default_rng(27)
+        c, cv = random_field(rng, (32, 32), 0.2), random_field(rng, (32, 32), 1.0)
+        scalar = _ScalarStepper((32, 32), G, P, 0.05, 2, True)
+        pair = _PairStepper(sim_config(dt=0.05))
+        results = [scalar.step(c), *pair.step((c, cv)), nonlinear_rhs(SpectralField(c, G), P).coeffs]
+        plan = simulator._cached_scalar_rhs(threading.get_ident(), (32, 32), G, P, 2)
+        buffers = self.buffers(scalar, scalar._rhs, pair, pair._rhs, plan)
+        for r in results:
+            assert not any(np.shares_memory(r, b) for b in buffers)
+        kept = [r.copy() for r in results]
+        scalar.step(cv)
+        pair.step((cv, c))
+        nonlinear_rhs(SpectralField(cv, G), P)
+        for a, b in zip(results, kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("model", ["scalar", "pair"])
+    def test_a_step_allocates_less_than_one_padded_grid(self, model, n):
+        rng = np.random.default_rng(28)
+        c, cv = random_field(rng, (n, n), 0.2), random_field(rng, (n, n), 1.0)
+        if model == "scalar":
+            stepper, state = _ScalarStepper((n, n), G, P, 0.05, 2, True), c
+        else:
+            stepper, state = _PairStepper(sim_config(n1=n, n2=n, dt=0.05)), (c, cv)
+        stepper.step(state)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stepper.step(state)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n) ** 2 * 8
 
 
 def sim_config(**kw):
