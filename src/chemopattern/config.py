@@ -1,13 +1,15 @@
 """Line-oriented experiment configuration.
 
 The format is deliberately small: ``[section]`` headers, ``key = value``
-lines, ``#``/``;`` comments, nothing nested.  Every key is declared in the
-schema below with a type and default; unknown sections or keys are errors
-(with line numbers), so typos cannot silently change an experiment.  Parsing
-fills defaults, and serialization writes the fully resolved configuration in
-canonical order with 17 significant digits, so ``serialize(parse(x))`` is a
-normal form: parsing it again reproduces the same configuration byte for
-byte.
+lines, ``#``/``;`` comments, nothing nested.  Every key has one row in the
+schema below: its type, its default, and the requirement that each of its
+values, set or defaulted, must meet.  Unknown sections or keys and values
+that miss their requirement are errors (with line numbers), so typos cannot
+silently change an experiment; only the rules that involve more than one key
+are written out, in ``_validate``.  Parsing fills defaults, and serialization
+writes the fully resolved configuration in canonical order with 17
+significant digits, so ``serialize(parse(x))`` is a normal form: parsing it
+again reproduces the same configuration byte for byte.
 """
 
 from __future__ import annotations
@@ -85,99 +87,112 @@ _TYPES = {
     "mode_list": (_parse_mode_list, _fmt_mode_list),
 }
 
-# section -> key -> (type tag, default); None default means "absent unless set"
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "experiment": {
-        "kind": ("str", None),
-        "seed": ("int", None),
-        "out": ("str", None),
-        "coefficient_convention": ("str", "formula"),
-    },
-    "physical": {
-        "d1": ("float", None),
-        "d2": ("float", None),
-        "chi": ("float", None),
-        "r1": ("float", None),
-        "r2": ("float", None),
-        "alpha1": ("float", None),
-        "alpha2": ("float", None),
-    },
-    "model": {
-        "mu": ("float", 8.0),
-        "alpha": ("float", 1.0),
-        "lambda": ("float", None),
-        "lambda_factor": ("float", None),
-    },
-    "geometry": {
-        "m": ("int", 1),
-        "n": ("int", 1),
-        "ell1": ("float", None),
-        "ell2": ("float", None),
-        "ell2_factor": ("float", 1.0),
-        "k_max": ("int", 32),
-    },
-    "linear": {
-        "lambda_factors": ("float_list", (0.9, 1.0, 1.1)),
-    },
-    "ode": {
-        "y0_1": ("float", 1e-3),
-        "y0_2": ("float", 1e-3),
-        "dt": ("float", 0.25),
-        "t_end": ("float", 5000.0),
-        "n_rays": ("int", 64),
-        "ray_radius": ("float", 0.01),
-    },
-    "simulation": {
-        "n1": ("int", 64),
-        "n2": ("int", 64),
-        "dt": ("float", 0.01),
-        "t_end": ("float", 2000.0),
-        "dealias_factor": ("int", 2),
-        "record_interval": ("float", 1.0),
-        "ic_kind": ("str", "random"),
-        "ic_amplitude": ("float", 1e-3),
-        "ic_kmax": ("int", 8),
-        "ic_modes": ("mode_list", ()),
-        "snapshot_times": ("float_list", ()),
-        "noise_floor": ("float", 1e-3),
-        "steady_tol": ("float", 1e-8),
-        "steady_window": ("float", 50.0),
-    },
-    "verify": {
-        "lambda_factor": ("float", 1.02),
-        "subcritical_factor": ("float", 0.99),
-        "sigma_list": ("float_list", (0.02, 0.05, 0.1)),
-        "sigma_list_hex": ("float_list", (0.01, 0.02, 0.04)),
-        "ell2_perturb": ("float", 0.01),
-        "lambda_perturb": ("float", 0.01),
-        "n_rays": ("int", 64),
-        "ray_radius": ("float", 0.01),
-        "fit_n1": ("int", 32),
-        "fit_n2": ("int", 32),
-        "fit_dt": ("float", 0.02),
-        "slaving_n1": ("int", 64),
-        "slaving_n2": ("int", 64),
-        "slaving_dt": ("float", 0.01),
-        "slaving_t_end": ("float", 2000.0),
-        "pde_n1": ("int", 32),
-        "pde_n2": ("int", 32),
-        "pde_dt": ("float", 0.02),
-        "pde_t_end": ("float", 2000.0),
-        "skip_pde": ("bool", False),
-    },
-    "sweep": {
-        "lambda_factors": ("float_list", (0.98, 1.0, 1.02)),
-        "geometry_factors": ("float_list", (0.99, 1.0, 1.01)),
-        "n1": ("int", 32),
-        "n2": ("int", 32),
-        "dt": ("float", 0.02),
-        "t_end": ("float", 400.0),
-        "ic_amplitude": ("float", 1e-3),
-    },
+#: requirement, in the words of the error message -> test.  An unset (None)
+#: value meets every requirement, a list meets one when each of its entries
+#: does, and inf and nan meet no numeric requirement.
+_REQUIREMENTS = {
+    "positive": lambda x: 0 < x < math.inf,
+    "finite": math.isfinite,
+    "> -1": lambda x: -1 < x < math.inf,
+    ">= 0": lambda x: 0 <= x < math.inf,
+    ">= 1": lambda n: n >= 1,
+    ">= 2": lambda n: n >= 2,
+    "a power of two >= 32": lambda n: n >= 32 and n & (n - 1) == 0,
+    "'random' or 'modes'": lambda s: s in ("random", "modes"),
+    "'formula' or 'paper'": lambda s: s in ("formula", "paper"),
 }
 
-#: kinds whose default initial data is randomized, making a seed mandatory
-_RANDOMIZED_KINDS = ("simulate", "simulate-full", "sweep", "verify-theorem1", "verify-theorem2")
+# section -> key -> (type tag, default, requirement); None default means
+# "absent unless set", None requirement that any value of the type will do
+SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
+    "experiment": {
+        "kind": ("str", None, None),
+        "seed": ("int", None, ">= 0"),
+        "out": ("str", None, None),
+        "coefficient_convention": ("str", "formula", "'formula' or 'paper'"),
+    },
+    "physical": {
+        "d1": ("float", None, None),
+        "d2": ("float", None, None),
+        "chi": ("float", None, None),
+        "r1": ("float", None, None),
+        "r2": ("float", None, None),
+        "alpha1": ("float", None, None),
+        "alpha2": ("float", None, None),
+    },
+    "model": {
+        "mu": ("float", 8.0, "positive"),
+        "alpha": ("float", 1.0, "positive"),
+        "lambda": ("float", None, "positive"),
+        "lambda_factor": ("float", None, "positive"),
+    },
+    "geometry": {
+        "m": ("int", 1, None),
+        "n": ("int", 1, None),
+        "ell1": ("float", None, "positive"),
+        "ell2": ("float", None, "positive"),
+        "ell2_factor": ("float", 1.0, "positive"),
+        "k_max": ("int", 32, ">= 1"),
+    },
+    "linear": {
+        "lambda_factors": ("float_list", (0.9, 1.0, 1.1), "positive"),
+    },
+    "ode": {
+        "y0_1": ("float", 1e-3, "finite"),
+        "y0_2": ("float", 1e-3, "finite"),
+        "dt": ("float", 0.25, "positive"),
+        "t_end": ("float", 5000.0, "positive"),
+        "n_rays": ("int", 64, ">= 1"),
+        "ray_radius": ("float", 0.01, "positive"),
+    },
+    "simulation": {
+        "n1": ("int", 64, "a power of two >= 32"),
+        "n2": ("int", 64, "a power of two >= 32"),
+        "dt": ("float", 0.01, "positive"),
+        "t_end": ("float", 2000.0, "positive"),
+        "dealias_factor": ("int", 2, ">= 2"),
+        "record_interval": ("float", 1.0, "positive"),
+        "ic_kind": ("str", "random", "'random' or 'modes'"),
+        "ic_amplitude": ("float", 1e-3, "positive"),
+        "ic_kmax": ("int", 8, ">= 0"),
+        "ic_modes": ("mode_list", (), None),
+        "snapshot_times": ("float_list", (), ">= 0"),
+        "noise_floor": ("float", 1e-3, "positive"),
+        "steady_tol": ("float", 1e-8, "positive"),
+        "steady_window": ("float", 50.0, "positive"),
+    },
+    "verify": {
+        "lambda_factor": ("float", 1.02, "positive"),
+        "subcritical_factor": ("float", 0.99, "positive"),
+        "sigma_list": ("float_list", (0.02, 0.05, 0.1), "positive"),
+        "sigma_list_hex": ("float_list", (0.01, 0.02, 0.04), "positive"),
+        "ell2_perturb": ("float", 0.01, "> -1"),
+        "lambda_perturb": ("float", 0.01, "> -1"),
+        "n_rays": ("int", 64, ">= 1"),
+        "ray_radius": ("float", 0.01, "positive"),
+        "fit_n1": ("int", 32, "a power of two >= 32"),
+        "fit_n2": ("int", 32, "a power of two >= 32"),
+        "fit_dt": ("float", 0.02, "positive"),
+        "slaving_n1": ("int", 64, "a power of two >= 32"),
+        "slaving_n2": ("int", 64, "a power of two >= 32"),
+        "slaving_dt": ("float", 0.01, "positive"),
+        "slaving_t_end": ("float", 2000.0, "positive"),
+        "pde_n1": ("int", 32, "a power of two >= 32"),
+        "pde_n2": ("int", 32, "a power of two >= 32"),
+        "pde_dt": ("float", 0.02, "positive"),
+        "pde_t_end": ("float", 2000.0, "positive"),
+        "skip_pde": ("bool", False, None),
+    },
+    "sweep": {
+        "lambda_factors": ("float_list", (0.98, 1.0, 1.02), None),
+        "geometry_factors": ("float_list", (0.99, 1.0, 1.01), None),
+        "n1": ("int", 32, "a power of two >= 32"),
+        "n2": ("int", 32, "a power of two >= 32"),
+        "dt": ("float", 0.02, "positive"),
+        "t_end": ("float", 400.0, "positive"),
+        "ic_amplitude": ("float", 1e-3, "positive"),
+    },
+}
 
 #: the kinds that read each kind-specific section; every other kind would
 #: silently ignore it
@@ -189,56 +204,20 @@ _READ_BY = {
     "sweep": ("sweep",),
 }
 
-#: sections or (section, key) pairs a kind sets itself or never reads: the
-#: kind-specific sections of other kinds, and for sweep (whose cells take
-#: geometry and coupling from [sweep]) and verify-theorem2 (which perturbs
-#: the resonant point by [verify] amounts) the working point
+#: sections or (section, key) pairs of the working point, which sweep (whose
+#: cells take geometry and coupling from [sweep]) and verify-theorem2 (which
+#: perturbs the resonant point by [verify] amounts) set themselves
 _WORKING_POINT_KEYS = ("physical", ("model", "lambda"), ("model", "lambda_factor"),
                        ("geometry", "ell1"), ("geometry", "ell2"), ("geometry", "ell2_factor"))
-_SET_BY_KIND = {kind: tuple(sec for sec, readers in _READ_BY.items() if kind not in readers)
-                + (_WORKING_POINT_KEYS if kind in ("sweep", "verify-theorem2") else ())
-                for kind in EXPERIMENT_KINDS}
-
-
-def _positive(x) -> bool:
-    """A positive real number: inf and nan are not."""
-    return math.isfinite(x) and x > 0
-
-
-def _positive_or_unset(x) -> bool:
-    return x is None or _positive(x)
-
-
-def _is_grid_size(n: int) -> bool:
-    return n >= 32 and n & (n - 1) == 0
-
-
-#: range checks on every value, set or defaulted: (section, keys,
-#: requirement, test)
-_RANGES = (
-    ("model", ("mu", "alpha", "lambda", "lambda_factor"), "positive", _positive_or_unset),
-    ("geometry", ("ell1", "ell2", "ell2_factor"), "positive", _positive_or_unset),
-    ("ode", ("dt", "t_end", "ray_radius"), "positive", _positive),
-    ("ode", ("n_rays",), ">= 1", lambda n: n >= 1),
-    ("ode", ("y0_1", "y0_2"), "finite", math.isfinite),
-    ("simulation", ("n1", "n2"), "a power of two >= 32", _is_grid_size),
-    ("simulation", ("dt", "t_end", "record_interval"), "positive", _positive),
-    ("simulation", ("dealias_factor",), ">= 2", lambda f: f >= 2),
-    ("verify", ("n_rays",), ">= 1", lambda n: n >= 1),
-    ("verify", ("ray_radius", "fit_dt", "slaving_dt", "slaving_t_end", "pde_dt", "pde_t_end"),
-     "positive", _positive),
-    ("verify", ("fit_n1", "fit_n2", "slaving_n1", "slaving_n2", "pde_n1", "pde_n2"),
-     "a power of two >= 32", _is_grid_size),
-    ("sweep", ("n1", "n2"), "a power of two >= 32", _is_grid_size),
-    ("sweep", ("dt", "t_end"), "positive", _positive),
-)
 
 
 def _set_by_kind(kind: str, section: str, key: str) -> bool:
     """Whether ``kind`` sets [section] key itself or never reads it, so a
     config may not."""
-    keys = _SET_BY_KIND[kind]
-    return section in keys or (section, key) in keys
+    if section in _READ_BY and kind not in _READ_BY[section]:
+        return True
+    return kind in ("sweep", "verify-theorem2") and (
+        section in _WORKING_POINT_KEYS or (section, key) in _WORKING_POINT_KEYS)
 
 
 @dataclass
@@ -322,7 +301,7 @@ def parse_config(text: str, overrides: dict[tuple[str, str], object] | None = No
     data: dict[str, dict[str, object]] = {}
     for sec, keys in SCHEMA.items():
         data[sec] = {}
-        for key, (_t, default) in keys.items():
+        for key, (_t, default, _r) in keys.items():
             data[sec][key] = values.get(sec, {}).get(key, default)
     for (sec, key), value in (overrides or {}).items():
         data[sec][key] = value
@@ -333,8 +312,9 @@ def parse_config(text: str, overrides: dict[tuple[str, str], object] | None = No
 
 
 def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
-    """Cross-key checks; ``lines`` maps each explicitly set (section, key) to
-    its line number."""
+    """Check each value against its schema row's requirement, and the rules
+    that involve more than one key; ``lines`` maps each explicitly set
+    (section, key) to its line number."""
     for (sec, key), lineno in lines.items():
         if _set_by_kind(cfg.kind, sec, key):
             raise ConfigError(f"[{sec}] {key} is not used by kind = {cfg.kind}", lineno)
@@ -349,7 +329,7 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
             raise ConfigError(f"[physical] is incomplete: missing {', '.join(missing)}")
         if any(sec == "model" for sec, _ in lines):
             raise ConfigError("[physical] and [model] are mutually exclusive")
-        bad = [k for k, v in phys.items() if not _positive(v)]
+        bad = [k for k, v in phys.items() if not _REQUIREMENTS["positive"](v)]
         if bad:
             raise ConfigError(f"[physical] entries must be positive: {', '.join(bad)}")
     geo = cfg.data["geometry"]
@@ -360,26 +340,21 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
         key = "n" if m >= 1 and n < 1 else "m"  # the one that is set and wrong
         raise ConfigError(f"[geometry] (m, n) = ({m}, {n}) must be coprime and >= 1 "
                           "when ell1 and ell2 are not given", lines.get(("geometry", key)))
-    for sec, keys, requirement, holds in _RANGES:
-        for key in keys:
+    for sec, keys in SCHEMA.items():
+        for key, (_t, _d, requirement) in keys.items():
             value = cfg.data[sec][key]
-            if not holds(value):
-                raise ConfigError(f"[{sec}] {key} must be {requirement}, got {value}",
-                                  lines.get((sec, key)))
-    if cfg.data["simulation"]["ic_kind"] not in ("random", "modes"):
-        raise ConfigError(f"[simulation] ic_kind must be 'random' or 'modes', "
-                          f"got {cfg.data['simulation']['ic_kind']!r}")
-    conv = cfg.convention
-    if conv not in ("formula", "paper"):
-        raise ConfigError(f"coefficient_convention must be 'formula' or 'paper', got {conv!r}")
-    randomized = cfg.kind in _RANDOMIZED_KINDS and not (
-        cfg.kind in ("simulate", "simulate-full")
-        and cfg.data["simulation"]["ic_kind"] == "modes")
-    if randomized and cfg.seed is None:
+            if requirement is None or value is None:
+                continue
+            for entry in value if isinstance(value, tuple) else (value,):
+                if not _REQUIREMENTS[requirement](entry):
+                    raise ConfigError(f"[{sec}] {key} must be {requirement}, got {entry}",
+                                      lines.get((sec, key)))
+    # the kinds that draw random initial data, and the settings under which they do
+    random_ic = cfg.data["simulation"]["ic_kind"] == "random"
+    draws = {"simulate": random_ic, "simulate-full": random_ic, "sweep": True,
+             "verify-theorem1": not cfg.data["verify"]["skip_pde"]}
+    if draws.get(cfg.kind, False) and cfg.seed is None:
         raise ConfigError(f"experiment kind {cfg.kind!r} is randomized; [experiment] seed is required")
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"[experiment] seed must be >= 0, got {cfg.seed}",
-                          lines.get(("experiment", "seed")))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -154,8 +154,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (_is_pow2(self.n1) and _is_pow2(self.n2)) or self.n1 < 32 or self.n2 < 32:
             raise ValueError("n1 and n2 must be powers of two >= 32")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        for name in ("dt", "t_end", "record_interval", "steady_window"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.nonlinear and self.dealias_factor < 2:
             raise ValueError("dealias_factor must be >= 2 with the cubic term enabled")
 

@@ -104,8 +104,13 @@ class TestCliBasics:
         ("ode", "[ode]\ny0_1 = nan", "line 5: [ode] y0_1 must be finite, got nan"),
         ("reduce", "[model]\nlambda = inf", "line 5: [model] lambda must be positive, got inf"),
         ("linear", "[geometry]\nell2_factor = inf",
-         "line 5: [geometry] ell2_factor must be positive, got inf")],
-        ids=["simulate", "ode", "reduce", "linear"])
+         "line 5: [geometry] ell2_factor must be positive, got inf"),
+        ("simulate", "[simulation]\nsteady_window = nan",
+         "line 5: [simulation] steady_window must be positive, got nan"),
+        ("linear", "[linear]\nlambda_factors = 1;nan",
+         "line 5: [linear] lambda_factors must be positive, got nan")],
+        ids=["simulate", "ode", "reduce", "linear", "simulate-steady_window",
+             "linear-lambda_factors"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, entry, message):
         cfg = write(tmp_path / "nf.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n{entry}\n")
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -219,6 +224,15 @@ class TestVerifyCli:
         tsv = (tmp_path / "o" / "verify_theorem2_report.tsv").read_text()
         assert tsv.splitlines()[0] == "check\texpected\tobserved\ttolerance\tpass"
         assert "overall" in tsv.splitlines()[-1]
+
+    def test_verify_theorem2_needs_no_seed(self, tmp_path):
+        cfg = write(tmp_path / "v2.cfg", "[experiment]\nkind = verify-theorem2\n")
+        reports = []
+        for i, flags in enumerate([[], ["--seed", "7"]]):
+            out = tmp_path / f"o{i}"
+            assert main(["verify-theorem2", "--config", cfg, "--out", str(out)] + flags) == 1
+            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(reports[0]) == 2 and reports[0] == reports[1]
 
     def test_entry_point_runs(self, tmp_path):
         cfg = write(tmp_path / "lin.cfg", LINEAR_CFG)

@@ -7,6 +7,7 @@ import pytest
 from chemopattern.config import (
     ConfigError,
     SCHEMA,
+    _REQUIREMENTS,
     _TYPES,
     EXPERIMENT_KINDS,
     _set_by_kind,
@@ -60,6 +61,21 @@ RANGE_CASES = [
     ("verify-theorem1", "geometry", "ell1 = inf\nell2 = 4", "positive", "inf"),
     ("linear", "geometry", "ell2 = -7\nell1 = 4", "positive", "-7.0"),
     ("linear", "geometry", "ell2_factor = inf", "positive", "inf"),
+    ("linear", "geometry", "k_max = 0", ">= 1", "0"),
+    ("simulate", "simulation", "steady_window = nan", "positive", "nan"),
+    ("simulate", "simulation", "steady_tol = 0", "positive", "0.0"),
+    ("simulate-full", "simulation", "noise_floor = -1e-3", "positive", "-0.001"),
+    ("simulate", "simulation", "ic_amplitude = 0", "positive", "0.0"),
+    ("simulate", "simulation", "ic_kmax = -3", ">= 0", "-3"),
+    ("simulate", "simulation", "snapshot_times = 0;-5", ">= 0", "-5.0"),
+    ("sweep", "sweep", "ic_amplitude = -1", "positive", "-1.0"),
+    ("linear", "linear", "lambda_factors = 0.9;-1", "positive", "-1.0"),
+    ("verify-theorem1", "verify", "sigma_list = 0.02;0", "positive", "0.0"),
+    ("verify-theorem1", "verify", "sigma_list_hex = nan", "positive", "nan"),
+    ("verify-theorem1", "verify", "lambda_factor = -2", "positive", "-2.0"),
+    ("verify-theorem1", "verify", "subcritical_factor = 0", "positive", "0.0"),
+    ("verify-theorem2", "verify", "ell2_perturb = -1", "> -1", "-1.0"),
+    ("verify-theorem2", "verify", "lambda_perturb = -2", "> -1", "-2.0"),
 ]
 
 WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
@@ -214,6 +230,24 @@ class TestParsing:
             parse_config("[experiment]\nkind = simulate\n[simulation]\nic_kind = modes\n"
                          "ic_modes = 1,1\n")
 
+    @pytest.mark.parametrize("kind, section, entry, message", [
+        ("simulate", "simulation", "ic_kind = Random",
+         "[simulation] ic_kind must be 'random' or 'modes', got Random"),
+        ("linear", "experiment", "coefficient_convention = Paper",
+         "[experiment] coefficient_convention must be 'formula' or 'paper', got Paper")],
+        ids=["simulation.ic_kind", "experiment.coefficient_convention"])
+    def test_choice_ranges(self, kind, section, entry, message):
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"^line 5: {re.escape(message)}$"):
+            parse_config(text)
+
+    # theorem2 and a theorem1 run without the simulation stage draw nothing at random
+    @pytest.mark.parametrize("text", ["kind = verify-theorem2\n",
+                                      "kind = verify-theorem1\n[verify]\nskip_pde = true\n"],
+                             ids=["verify-theorem2", "verify-theorem1-skip_pde"])
+    def test_deterministic_verify_needs_no_seed(self, text):
+        assert parse_config("[experiment]\n" + text).seed is None
+
 
 class TestRoundTrip:
     def test_serialize_parse_idempotent_minimal(self):
@@ -234,7 +268,7 @@ class TestRoundTrip:
                 if sec in ("experiment", "physical") or rng.random() < 0.4:
                     continue
                 entries = []
-                for key, (tname, default) in keys.items():
+                for key, (tname, default, _requirement) in keys.items():
                     if rng.random() < 0.6 or _set_by_kind(kind, sec, key):
                         continue
                     if tname == "float":
@@ -272,9 +306,38 @@ class TestRoundTrip:
 
     def test_all_schema_types_have_formatters(self):
         for sec, keys in SCHEMA.items():
-            for key, (tname, _default) in keys.items():
+            for key, (tname, _default, _requirement) in keys.items():
                 assert tname in _TYPES, f"[{sec}] {key} has unknown type {tname}"
 
     def test_seventeen_digit_floats(self):
         cfg = parse_config("[experiment]\nkind = linear\n[model]\nmu = 0.1\n")
         assert "mu = 0.10000000000000001" in serialize_config(cfg)
+
+
+#: rows of a numeric type without a requirement, each with the reason
+UNCONSTRAINED = {
+    ("geometry", "m"): "coprime (m, n) is a rule across keys",
+    ("geometry", "n"): "coprime (m, n) is a rule across keys",
+    **{("physical", key): "the block rule checks the seven entries together"
+       for key in SCHEMA["physical"]},
+    ("sweep", "lambda_factors"): "a factor a cell cannot run becomes that cell's error row",
+    ("sweep", "geometry_factors"): "a factor a cell cannot run becomes that cell's error row",
+}
+
+
+class TestSchemaRows:
+    def test_every_numeric_row_has_a_requirement(self):
+        bare = {(sec, key) for sec, keys in SCHEMA.items()
+                for key, (tname, _default, requirement) in keys.items()
+                if tname in ("int", "float", "float_list") and requirement is None}
+        assert bare == set(UNCONSTRAINED)
+
+    def test_every_requirement_is_known_and_met_by_its_default(self):
+        for sec, keys in SCHEMA.items():
+            for key, (_tname, default, requirement) in keys.items():
+                if requirement is None:
+                    continue
+                holds = _REQUIREMENTS[requirement]
+                entries = default if isinstance(default, tuple) else (default,)
+                assert default is None or all(holds(e) for e in entries), \
+                    f"[{sec}] {key} = {default}"

@@ -367,6 +367,13 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="dealias"):
             sim_config(dealias_factor=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", math.nan), ("record_interval", math.nan), ("t_end", math.inf),
+        ("steady_window", 0.0), ("steady_window", -1.0)])
+    def test_rejects_times_it_cannot_run(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
+            sim_config(**{name: value})
+
     def test_random_ic_requires_seed(self):
         cfg = sim_config(ic=InitialCondition(kind="random", seed=None))
         with pytest.raises(ValueError, match="seed"):
