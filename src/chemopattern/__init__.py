@@ -43,7 +43,6 @@ from .reduction import (
     classify_equilibrium,
     cubic_coefficients,
     equilibria,
-    interaction_kernels,
     kappa_coefficients,
     quadratic_coefficient,
     reduced_vector_field,
@@ -51,8 +50,8 @@ from .reduction import (
     transition_type,
 )
 from .planar import AttractorDescriptor, Trajectory, attractor_graph, basin_survey, integrate
-from .transforms import GridField, SpectralField, helmholtz_inverse, transform_forward, transform_inverse
-from .simulator import Diagnostics, SimConfig, linear_rhs, nonlinear_rhs, simulate, simulate_full_system, step
+from .transforms import GridField, SpectralField, helmholtz_inverse, transform_inverse
+from .simulator import Diagnostics, SimConfig, nonlinear_rhs, simulate, simulate_full_system, step
 from .fitting import fit_saturation, fit_slaving, pattern_fingerprint
 
 __all__ = [
@@ -82,10 +81,8 @@ __all__ = [
     "helmholtz_gain",
     "helmholtz_inverse",
     "integrate",
-    "interaction_kernels",
     "kappa_coefficients",
     "lambda_critical",
-    "linear_rhs",
     "make_critical_geometry",
     "nondimensionalize",
     "nonlinear_rhs",
@@ -99,7 +96,6 @@ __all__ = [
     "simulate_full_system",
     "slaved_modes",
     "step",
-    "transform_forward",
     "transform_inverse",
     "transition_type",
 ]

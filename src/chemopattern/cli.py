@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config, serialize_config
+from .core import SearchBoundaryError
 from .verify import (
     run_linear,
     run_ode,
@@ -84,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
             rep = run(cfg)
             print(rep.to_table(), end="")
             return 0 if rep.overall else 1
-    except ConfigError as exc:
+    except (ConfigError, SearchBoundaryError) as exc:
+        # a k_max too small for the geometry is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name, path in paths.items():

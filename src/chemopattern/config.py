@@ -96,7 +96,6 @@ _REQUIREMENTS = {
     "> -1": lambda x: -1 < x < math.inf,
     ">= 0": lambda x: 0 <= x < math.inf,
     ">= 1": lambda n: n >= 1,
-    ">= 2": lambda n: n >= 2,
     "a power of two >= 32": lambda n: n >= 32 and n & (n - 1) == 0,
     "'random' or 'modes'": lambda s: s in ("random", "modes"),
     "'formula' or 'paper'": lambda s: s in ("formula", "paper"),
@@ -150,7 +149,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "n2": ("int", 64, "a power of two >= 32"),
         "dt": ("float", 0.01, "positive"),
         "t_end": ("float", 2000.0, "positive"),
-        "dealias_factor": ("int", 2, ">= 2"),
         "record_interval": ("float", 1.0, "positive"),
         "ic_kind": ("str", "random", "'random' or 'modes'"),
         "ic_amplitude": ("float", 1e-3, "positive"),
@@ -349,6 +347,11 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
                 if not _REQUIREMENTS[requirement](entry):
                     raise ConfigError(f"[{sec}] {key} must be {requirement}, got {entry}",
                                       lines.get((sec, key)))
+    sim = cfg.data["simulation"]
+    for (k1, k2), _amp in sim["ic_modes"]:
+        if not (0 <= k1 < sim["n1"] and 0 <= k2 < sim["n2"]):
+            raise ConfigError(f"[simulation] ic_modes entry {k1},{k2} lies outside the "
+                              f"{sim['n1']}x{sim['n2']} grid", lines.get(("simulation", "ic_modes")))
     # the kinds that draw random initial data, and the settings under which they do
     random_ic = cfg.data["simulation"]["ic_kind"] == "random"
     draws = {"simulate": random_ic, "simulate-full": random_ic, "sweep": True,

@@ -136,19 +136,6 @@ class EquilibriumPoint:
     marginal: bool = False
 
 
-def interaction_kernels(rho_i: float, rho_j: float, p: ModelParams) -> tuple[float, float]:
-    """Quadratic interaction kernels (P, Q) for a pair of wavenumbers.
-
-    P multiplies the plain product e_i*e_j, Q the gradient product
-    grad(e_i).grad(e_j), in the projection of the quadratic nonlinearity.
-    """
-    if rho_i < 0 or rho_j < 0:
-        raise ValueError("squared wavenumbers must be nonnegative")
-    P = -6.0 * p.alpha + p.lam * (rho_i / (1.0 + rho_i) + rho_j / (1.0 + rho_j))
-    Q = p.lam * (1.0 / (1.0 + rho_i) + 1.0 / (1.0 + rho_j))
-    return P, Q
-
-
 def quadratic_coefficient(p: ModelParams, rho_star: float) -> float:
     """Quadratic resonance coefficient a_q = (1/8)(-6*alpha + lam*rho/(1+rho)).
 

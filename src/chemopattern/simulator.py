@@ -12,14 +12,14 @@ Two integrators live here, sharing the spatial machinery of
   with w = (-Lap + 1)^(-1) u the quasi-static chemoattractant response.  The
   linear part is diagonal in the cosine basis and is advanced exactly; the
   nonlinearity uses a second-order exponential midpoint rule.  Quadratic and
-  cubic products are formed on a grid padded by ``dealias_factor`` (2 is
-  exact for a cubic nonlinearity), with gradient products rewritten through
-  grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so that only cosine
-  syntheses of the fields and their Laplacians are needed.  The syntheses of
-  one right-hand side are one batched transform of the staged fields, and
-  its two analyses are another; both go through the right-hand-side
-  transforms of :mod:`chemopattern.transforms` (dense cosine matrices on
-  small grids).
+  cubic products are formed on a grid padded to twice the base resolution
+  per axis (exact for a cubic nonlinearity), with gradient products
+  rewritten through grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)]
+  so that only cosine syntheses of the fields and their Laplacians are
+  needed.  The syntheses of one right-hand side are one batched transform
+  of the staged fields, and its two analyses are another; both go through
+  the right-hand-side transforms of :mod:`chemopattern.transforms` (dense
+  cosine matrices on small grids).
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -140,7 +140,6 @@ class SimConfig:
     n2: int = 64
     dt: float = 0.01
     t_end: float = 2000.0
-    dealias_factor: int = 2
     ic: InitialCondition = field(default_factory=InitialCondition)
     mode_m: int = 1
     mode_n: int = 1
@@ -157,8 +156,6 @@ class SimConfig:
         for name in ("dt", "t_end", "record_interval", "steady_window"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.nonlinear and self.dealias_factor < 2:
-            raise ValueError("dealias_factor must be >= 2 with the cubic term enabled")
 
     @property
     def critical_pair(self) -> tuple[ModeIndex, ModeIndex]:
@@ -194,8 +191,10 @@ class Diagnostics:
 class _RhsPlan:
     """The transform side of one model's nonlinear right-hand side at one
     resolution, built once: every workspace of the two batched transforms
-    and of the pointwise products.  A subclass adds the multipliers that
-    stage the synthesized fields from the coefficients.
+    and of the pointwise products.  The padded grid is twice the base
+    resolution per axis, on which the products of a cubic nonlinearity are
+    alias-free.  A subclass adds the multipliers that stage the synthesized
+    fields from the coefficients.
 
     A right-hand side then allocates no grid-sized memory.  (Each field is
     staged by its own multiplication: numpy buffers a broadcasting ufunc
@@ -204,9 +203,9 @@ class _RhsPlan:
     right-hand side returns may alias them.
     """
 
-    def __init__(self, shape: tuple[int, int], dealias_factor: int, n_fields: int):
+    def __init__(self, shape: tuple[int, int], n_fields: int):
         n1, n2 = shape
-        m1, m2 = pad = (dealias_factor * n1, dealias_factor * n2)
+        m1, m2 = pad = (2 * n1, 2 * n2)
         self.shape, self.pad = shape, pad
         self.stage = np.empty((n_fields, n1, n2))
         self.grid = np.empty((n_fields, m1, m2))
@@ -227,10 +226,9 @@ class _RhsPlan:
 class _ScalarRhs(_RhsPlan):
     """:func:`nonlinear_rhs` of one model at one resolution."""
 
-    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
-                 dealias_factor: int):
+    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
-        super().__init__(shape, dealias_factor, 3)
+        super().__init__(shape, 3)
         half_lam = 0.5 * params.lam
         # the multipliers of w and of D = (lam/2)*(Lap(u) - u)
         self.gain, self.d_mult = helmholtz_gain(table, 1.0), -half_lam * (table + 1.0)
@@ -259,18 +257,13 @@ class _ScalarRhs(_RhsPlan):
         return np.add(g, np.multiply(self.half_lam_rho, uw, out=uw), out=out)
 
 
-def linear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
-    """Linear right-hand side: coefficient-wise multiplication by sigma(rho_k)."""
-    return SpectralField(sigma(rho_table(*u.shape, u.geometry), p) * u.coeffs, u.geometry)
-
-
 @lru_cache(maxsize=16)
 def _cached_scalar_rhs(thread: int, *args) -> _ScalarRhs:
     """One plan per thread and argument set for :func:`nonlinear_rhs`."""
     return _ScalarRhs(*args)
 
 
-def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> SpectralField:
+def nonlinear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
     """Quadratic + cubic right-hand side, fully dealiased.
 
     The nonlinearity -lam*grad(u).grad(w) - lam*u*Lap(w) - 3*alpha*u^2 -
@@ -283,9 +276,7 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams, dealias_factor: int = 2) -> 
     projected back to the base resolution in another, and Lap(uw) is then the
     exact diagonal multiplication by -rho_k.
     """
-    if dealias_factor < 2:
-        raise ValueError("dealias_factor must be >= 2 for the cubic nonlinearity")
-    rhs = _cached_scalar_rhs(threading.get_ident(), u.shape, u.geometry, p, dealias_factor)
+    rhs = _cached_scalar_rhs(threading.get_ident(), u.shape, u.geometry, p)
     return SpectralField(rhs(u.coeffs), u.geometry)
 
 
@@ -307,7 +298,7 @@ class _ScalarStepper:
     """
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
-                 dt: float, dealias_factor: int, nonlinear: bool):
+                 dt: float, nonlinear: bool):
         sig = sigma(rho_table(*shape, geometry), params)
         self.nonlinear = nonlinear
         self.exp_full = np.exp(sig * dt)
@@ -315,7 +306,7 @@ class _ScalarStepper:
             self.exp_half = np.exp(sig * dt / 2.0)
             self.half_dt_phi_half = (dt / 2.0) * _phi1(sig * dt / 2.0)
             self.dt_exp_half = dt * self.exp_half
-            self._rhs = _ScalarRhs(shape, geometry, params, dealias_factor)
+            self._rhs = _ScalarRhs(shape, geometry, params)
             self._n = np.empty(shape)
             self._c_half = np.empty(shape)
 
@@ -346,8 +337,7 @@ def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) ->
     Raises :class:`BlowUpError`, with no time, when the step or its midpoint
     produces non-finite values.
     """
-    stepper = _cached_scalar_stepper(threading.get_ident(), u.shape, u.geometry, p, dt, 2,
-                                     nonlinear)
+    stepper = _cached_scalar_stepper(threading.get_ident(), u.shape, u.geometry, p, dt, nonlinear)
     try:
         c = stepper.step(u.coeffs)
     except NonFiniteError:
@@ -441,8 +431,7 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
     time and the partial diagnostics.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
-    stepper = _ScalarStepper((cfg.n1, cfg.n2), cfg.geometry, cfg.params, cfg.dt,
-                             cfg.dealias_factor, cfg.nonlinear)
+    stepper = _ScalarStepper((cfg.n1, cfg.n2), cfg.geometry, cfg.params, cfg.dt, cfg.nonlinear)
     diag, c = _run(cfg, stepper, u0.coeffs, lambda c: c)
     return diag, SpectralField(c, cfg.geometry)
 
@@ -488,10 +477,9 @@ def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
 class _PairRhs(_RhsPlan):
     """The two-field model's nonlinear cell-density term at one resolution."""
 
-    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
-                 dealias_factor: int):
+    def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
-        super().__init__(shape, dealias_factor, 4)
+        super().__init__(shape, 4)
         self.half_lap = -0.5 * table
         self.alpha, self.quad = params.alpha, -3.0 * params.alpha
         self.half_rho = 0.5 * table
@@ -540,7 +528,7 @@ class _PairStepper:
         self.dt, self.nonlinear = cfg.dt, cfg.nonlinear
         self._t = np.empty(shape)
         if cfg.nonlinear:
-            self._rhs = _PairRhs(shape, g, p, cfg.dealias_factor)
+            self._rhs = _PairRhs(shape, g, p)
             self._n, self._hu, self._hv = np.empty(shape), np.empty(shape), np.empty(shape)
 
     def _nonlinear(self, cu: np.ndarray, cv: np.ndarray,

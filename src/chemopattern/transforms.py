@@ -13,8 +13,9 @@ grad(u).grad(w) = (1/2) [Lap(uw) - u Lap(w) - w Lap(u)]: every factor is a
 plain cosine synthesis, and Lap(uw) is applied after the analysis, which is
 exact for the dealiased product.  Synthesis accepts a target grid shape and
 analysis a truncation shape, so nonlinear terms can be formed on a padded
-(dealiased) grid; both skip the transform passes over rows and columns known
-to be zero or discarded.
+grid: the simulator pads to twice the base resolution per axis, on which
+the products of a cubic nonlinearity are alias-free.  Both skip the
+transform passes over rows and columns known to be zero or discarded.
 
 Both transforms act on the last two axes and treat any leading axes as a
 batch, so all the fields of one right-hand side go through one ``dct`` call
@@ -98,11 +99,6 @@ class GridField:
         if self.values.ndim != 2:
             raise ValueError("values must be a 2D array")
         require_finite(self.values, "values")
-
-
-def collocation_points(n: int, ell: float) -> np.ndarray:
-    """Midpoint grid (i + 1/2) * ell / n, i = 0..n-1."""
-    return (np.arange(n) + 0.5) * ell / n
 
 
 def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None,
@@ -224,13 +220,9 @@ def rhs_grid_to_coeffs(values: np.ndarray, shape: tuple[int, int],
     return coeffs
 
 
-def transform_forward(g: GridField) -> SpectralField:
-    """Exact analysis on the midpoint grid; inverse of :func:`transform_inverse`."""
-    return SpectralField(grid_to_coeffs(g.values), g.geometry)
-
-
 def transform_inverse(s: SpectralField) -> GridField:
-    """Exact synthesis on the matching midpoint grid."""
+    """Exact synthesis on the matching midpoint grid; :func:`grid_to_coeffs`
+    of its values recovers the coefficients."""
     return GridField(coeffs_to_grid(s.coeffs), s.geometry)
 
 
@@ -243,9 +235,3 @@ def helmholtz_inverse(u: SpectralField, coupling: float) -> SpectralField:
     n1, n2 = u.shape
     table = rho_table(n1, n2, u.geometry)
     return SpectralField(coupling * u.coeffs / (1.0 + table), u.geometry)
-
-
-def laplacian(u: SpectralField) -> SpectralField:
-    """Spectral Laplacian: multiply mode k by -rho_k."""
-    n1, n2 = u.shape
-    return SpectralField(-rho_table(n1, n2, u.geometry) * u.coeffs, u.geometry)

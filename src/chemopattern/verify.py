@@ -216,11 +216,10 @@ def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
         ic = InitialCondition(kind="random", seed=seed, amplitude=s["ic_amplitude"],
                               kmax=s["ic_kmax"])
     return SimConfig(
-        params=p, geometry=g, n1=s["n1"], n2=s["n2"], dt=s["dt"], t_end=s["t_end"],
-        dealias_factor=s["dealias_factor"], ic=ic, mode_m=m, mode_n=n,
-        record_interval=s["record_interval"], snapshot_times=s["snapshot_times"],
-        noise_floor=s["noise_floor"], steady_tol=s["steady_tol"],
-        steady_window=s["steady_window"],
+        params=p, geometry=g, n1=s["n1"], n2=s["n2"], dt=s["dt"], t_end=s["t_end"], ic=ic,
+        mode_m=m, mode_n=n, record_interval=s["record_interval"],
+        snapshot_times=s["snapshot_times"], noise_floor=s["noise_floor"],
+        steady_tol=s["steady_tol"], steady_window=s["steady_window"],
     )
 
 

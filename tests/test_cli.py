@@ -126,6 +126,21 @@ class TestCliBasics:
             in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["40,1", "-1,1"])
+    def test_seed_mode_outside_grid_is_a_config_error(self, tmp_path, capsys, mode):
+        cfg = write(tmp_path / "ic.cfg", "[experiment]\nkind = simulate\n[simulation]\nn1 = 32\n"
+                                         f"n2 = 32\nic_kind = modes\nic_modes = {mode}:0.001\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"line 7: [simulation] ic_modes entry {mode} lies outside the 32x32 grid" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_k_max_below_the_minimizer_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "k.cfg", "[experiment]\nkind = linear\n[geometry]\nk_max = 1\n")
+        assert main(["linear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k_max" in err
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")

@@ -41,7 +41,6 @@ RANGE_CASES = [
     ("simulate", "simulation", "dt = 0", "positive", "0.0"),
     ("simulate-full", "simulation", "t_end = -5", "positive", "-5.0"),
     ("simulate", "simulation", "record_interval = 0", "positive", "0.0"),
-    ("simulate", "simulation", "dealias_factor = 1", ">= 2", "1"),
     ("sweep", "sweep", "n1 = 16", "a power of two >= 32", "16"),
     ("sweep", "sweep", "n2 = 33", "a power of two >= 32", "33"),
     ("sweep", "sweep", "dt = -0.02", "positive", "-0.02"),

@@ -13,7 +13,6 @@ from chemopattern import (
     classify_equilibrium,
     cubic_coefficients,
     equilibria,
-    interaction_kernels,
     kappa_coefficients,
     lambda_critical,
     make_critical_geometry,
@@ -30,23 +29,6 @@ from chemopattern.reduction import (
 )
 
 from oracles import cos_mode, count_root_clusters, grad_dot, trapezoid_grid, trapezoid_inner
-
-
-class TestInteractionKernels:
-    def test_zero_wavenumber_limit(self):
-        P, Q = interaction_kernels(0.0, 0.0, ModelParams(8, 1, 18))
-        assert P == -6.0
-        assert Q == 36.0
-
-    def test_mixed_pair(self):
-        P, Q = interaction_kernels(0.5, 0.0, ModelParams(8, 1, 18))
-        assert P == pytest.approx(0.0, abs=1e-14)
-        assert Q == pytest.approx(30.0, rel=1e-14)
-
-    def test_diagonal_pair(self):
-        P, Q = interaction_kernels(0.5, 0.5, ModelParams(8, 1, 18))
-        assert P == pytest.approx(6.0, rel=1e-14)
-        assert Q == pytest.approx(24.0, rel=1e-14)
 
 
 class TestQuadraticCoefficient:

@@ -11,7 +11,6 @@ from chemopattern import (
     ModelParams,
     SpectralField,
     lambda_critical,
-    linear_rhs,
     make_critical_geometry,
     nonlinear_rhs,
     simulate,
@@ -53,26 +52,6 @@ def random_field(rng, shape, amp):
     c = np.zeros(shape)
     c[:8, :8] = rng.uniform(-amp, amp, size=(8, 8))
     return c
-
-
-class TestLinearRhs:
-    def test_eigenmode(self):
-        out = linear_rhs(single_mode(2, 3), P)
-        s = sigma(rho((2, 3), G), P)
-        assert out.coeffs[2, 3] == pytest.approx(s, rel=1e-14)
-        out.coeffs[2, 3] = 0.0
-        assert np.all(out.coeffs == 0.0)
-
-    def test_zero(self):
-        out = linear_rhs(SpectralField(np.zeros((32, 32)), G), P)
-        assert np.all(out.coeffs == 0.0)
-
-    def test_critical_pair_is_neutral(self):
-        c = np.zeros((32, 32))
-        c[1, 1] = 1.0
-        c[0, 2] = 1.0
-        out = linear_rhs(SpectralField(c, G), P)
-        assert np.max(np.abs(out.coeffs)) <= 1e-13
 
 
 class TestNonlinearRhs:
@@ -129,10 +108,6 @@ class TestNonlinearRhs:
         c_hi[:32, :32] = c
         hi = nonlinear_rhs(SpectralField(c_hi, G), P).coeffs[:32, :32]
         assert np.max(np.abs(lo - hi)) <= 1e-10
-
-    def test_rejects_insufficient_padding(self):
-        with pytest.raises(ValueError, match="dealias"):
-            nonlinear_rhs(single_mode(1, 1), P, dealias_factor=1)
 
     def test_results_do_not_alias_the_workspace(self):
         # the padded grids are reused across calls; earlier results must not change
@@ -270,7 +245,7 @@ class TestStep:
         assert len(built) == 1
         c = c0
         for _ in range(20):
-            c = _ScalarStepper((32, 32), G, P, 0.05, 2, True).step(c)
+            c = _ScalarStepper((32, 32), G, P, 0.05, True).step(c)
         assert np.array_equal(u.coeffs, c)
 
 
@@ -287,7 +262,7 @@ class TestFoldedNonlinearity:
     def test_scalar(self, shape):
         p = ModelParams(8.0, 1.0, 18.36)
         c = random_field(np.random.default_rng(31), shape, 0.1)
-        got = _ScalarStepper(shape, G, p, 0.05, 2, True)._nonlinear(c)
+        got = _ScalarStepper(shape, G, p, 0.05, True)._nonlinear(c)
         want = nonlinear_by_dct(c, G, p)
         amplification = 1.0 + 0.5 * p.lam * rho_table(*shape, G)
         assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
@@ -313,10 +288,10 @@ class TestPlanBuffers:
     def test_results_are_not_plan_buffers(self):
         rng = np.random.default_rng(27)
         c, cv = random_field(rng, (32, 32), 0.2), random_field(rng, (32, 32), 1.0)
-        scalar = _ScalarStepper((32, 32), G, P, 0.05, 2, True)
+        scalar = _ScalarStepper((32, 32), G, P, 0.05, True)
         pair = _PairStepper(sim_config(dt=0.05))
         results = [scalar.step(c), *pair.step((c, cv)), nonlinear_rhs(SpectralField(c, G), P).coeffs]
-        plan = simulator._cached_scalar_rhs(threading.get_ident(), (32, 32), G, P, 2)
+        plan = simulator._cached_scalar_rhs(threading.get_ident(), (32, 32), G, P)
         buffers = self.buffers(scalar, scalar._rhs, pair, pair._rhs, plan)
         for r in results:
             assert not any(np.shares_memory(r, b) for b in buffers)
@@ -333,7 +308,7 @@ class TestPlanBuffers:
         rng = np.random.default_rng(28)
         c, cv = random_field(rng, (n, n), 0.2), random_field(rng, (n, n), 1.0)
         if model == "scalar":
-            stepper, state = _ScalarStepper((n, n), G, P, 0.05, 2, True), c
+            stepper, state = _ScalarStepper((n, n), G, P, 0.05, True), c
         else:
             stepper, state = _PairStepper(sim_config(n1=n, n2=n, dt=0.05)), (c, cv)
         stepper.step(state)
@@ -362,10 +337,6 @@ class TestSimConfigValidation:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError, match="powers of two"):
             sim_config(n1=16, n2=16)
-
-    def test_rejects_insufficient_dealias(self):
-        with pytest.raises(ValueError, match="dealias"):
-            sim_config(dealias_factor=1)
 
     @pytest.mark.parametrize("name, value", [
         ("dt", math.nan), ("record_interval", math.nan), ("t_end", math.inf),
