@@ -348,10 +348,13 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
                     raise ConfigError(f"[{sec}] {key} must be {requirement}, got {entry}",
                                       lines.get((sec, key)))
     sim = cfg.data["simulation"]
-    for (k1, k2), _amp in sim["ic_modes"]:
+    for (k1, k2), amp in sim["ic_modes"]:
         if not (0 <= k1 < sim["n1"] and 0 <= k2 < sim["n2"]):
             raise ConfigError(f"[simulation] ic_modes entry {k1},{k2} lies outside the "
                               f"{sim['n1']}x{sim['n2']} grid", lines.get(("simulation", "ic_modes")))
+        if not math.isfinite(amp):
+            raise ConfigError(f"[simulation] ic_modes entry {k1},{k2} has a non-finite "
+                              f"amplitude {amp}", lines.get(("simulation", "ic_modes")))
     # the kinds that draw random initial data, and the settings under which they do
     random_ic = cfg.data["simulation"]["ic_kind"] == "random"
     draws = {"simulate": random_ic, "simulate-full": random_ic, "sweep": True,

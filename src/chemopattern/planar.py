@@ -6,6 +6,11 @@ do the eight nontrivial equilibria with their connecting orbits form a closed
 ring (the circle attractor).  Heteroclinic connections are found by shooting
 from saddle points along their unstable eigendirections, which is robust for a
 planar system with hyperbolic saddles.
+
+Every trajectory is stepped in-package by ``_rk45``, which takes the same
+steps as scipy's ``solve_ivp`` RK45 with the same floating-point results.
+It holds the Dormand-Prince tableau as literals, so the module needs only
+numpy and the kinds built on it start without importing scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .parallel import map_in_order
 from .reduction import (
@@ -44,12 +48,32 @@ SHOOT_T_END = 20000.0
 # local error tolerances of every planar integration
 _RTOL, _ATOL = 1e-10, 1e-12
 
-# the Dormand-Prince 5(4) pair as scipy's RK45 holds it, and the step-size
-# control constants of scipy.integrate._ivp.rk
-_A, _B, _E, _P = RK45.A, RK45.B, RK45.E, RK45.P
-_N_STAGES = RK45.n_stages
-_ORDER_EXPONENT = 1 / (RK45.error_estimator_order + 1)
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6
+# (1980) 19) with Shampine's quartic dense output (Math. Comp. 46 (1986)
+# 135), written as the same rational literals as scipy's RK45 so the arrays
+# are bitwise equal to its own; the step-size control constants and the
+# step-collapse message of scipy.integrate._ivp are copied the same way.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_N_STAGES = 6
+_ORDER_EXPONENT = 1 / 5  # 1 / (error estimator order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _SQRT2 = 2 ** 0.5
 
 
@@ -194,9 +218,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the truncated field from ``y0``, sampling every ``dt``.
 
-    The integrator is scipy's adaptive embedded 4(5) Runge-Kutta pair
-    (Dormand-Prince) with local tolerance ~1e-10, stepped in ``_rk45``,
-    restarted from the last sample of each chunk of at most 50 time units.
+    The integrator is the adaptive embedded 4(5) Runge-Kutta pair
+    (Dormand-Prince) of scipy's RK45 with local tolerance ~1e-10, stepped in
+    ``_rk45``, restarted from the last sample of each chunk of at most 50
+    time units.
     Sample k sits at ``k*dt``; ``t_end`` is the last sample when it is off
     that grid.  Integration stops at the first sample whose norm exceeds
     ``DEFAULT_BLOWUP`` (divergent) or that is inside the capture radius of a
@@ -241,7 +266,7 @@ def integrate(
                 states.append(ys)
                 diverged = True
                 break
-            raise RuntimeError(f"planar integration failed: {RK45.TOO_SMALL_STEP}")
+            raise RuntimeError(f"planar integration failed: {_TOO_SMALL_STEP}")
         # norm > DEFAULT_BLOWUP implies max|y_i| > DEFAULT_BLOWUP/sqrt(2), and
         # a Euclidean distance <= radius implies a Chebyshev one <= radius
         big = np.abs(ys).max(axis=1) > DEFAULT_BLOWUP / 2

@@ -35,6 +35,10 @@ their bytes depend on the BLAS kernel.  On that path they take the caller's
 arrays for the intermediate product and the analysed result, so a caller that
 keeps them allocates no grid-sized memory per call.  Beyond ``DENSE_MAX``
 they are the ``dct`` functions.
+
+``dct`` is ``scipy.fft.dct``, imported at its first call: a process that
+never analyses or synthesizes through it (the kinds without a simulation,
+and right-hand sides on the dense path) does not load scipy.
 """
 
 from __future__ import annotations
@@ -43,9 +47,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .core import DomainGeometry, ModeIndex, rho_table
+
+
+def dct(*args, **kwargs):
+    """``scipy.fft.dct``, imported at the first call so that the kinds which
+    never transform a grid start without scipy."""
+    from scipy.fft import dct
+    return dct(*args, **kwargs)
 
 
 class NonFiniteError(ValueError):

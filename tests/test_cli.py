@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,15 @@ class TestCliBasics:
             in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("amp", ["nan", "inf", "-inf"])
+    def test_non_finite_seed_amplitude_is_a_config_error(self, tmp_path, capsys, amp):
+        cfg = write(tmp_path / "ic.cfg", "[experiment]\nkind = simulate\n[simulation]\nn1 = 32\n"
+                                         f"n2 = 32\nic_kind = modes\nic_modes = 0,1:0.001;1,1:{amp}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"line 7: [simulation] ic_modes entry 1,1 has a non-finite amplitude {amp}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_k_max_below_the_minimizer_is_a_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "k.cfg", "[experiment]\nkind = linear\n[geometry]\nk_max = 1\n")
         assert main(["linear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -255,3 +265,41 @@ class TestVerifyCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "wrote" in proc.stdout
+
+
+class TestImportGraph:
+    """The kinds without a simulation start without scipy; a simulation
+    loads ``scipy.fft`` at its first grid transform."""
+
+    @staticmethod
+    def run_fresh(code: str, tmp_path) -> list[str]:
+        """Run ``code`` in a fresh interpreter that imports this package;
+        returns the scipy modules it had loaded at the end."""
+        import chemopattern
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chemopattern.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        script = ("import sys\nimport chemopattern\nfrom chemopattern import cli\n" + code +
+                  "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_linear_and_reduce_load_no_scipy(self, tmp_path):
+        write(tmp_path / "lin.cfg", LINEAR_CFG)
+        write(tmp_path / "red.cfg", "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")
+        loaded = self.run_fresh(
+            "assert cli.main(['linear', '--config', 'lin.cfg', '--out', 'o']) == 0\n"
+            "assert cli.main(['reduce', '--config', 'red.cfg', '--out', 'o']) == 0", tmp_path)
+        assert (tmp_path / "o" / "reduce_coefficients.tsv").exists()
+        assert not {"scipy", "scipy.fft", "scipy.integrate"} & set(loaded), loaded
+
+    def test_simulate_loads_scipy_fft_for_its_snapshot(self, tmp_path):
+        cfg = write(tmp_path / "sim.cfg", SIM_CFG.replace("t_end = 40", "t_end = 2"))
+        loaded = self.run_fresh("assert cli.main(['simulate', '--config', 'sim.cfg', "
+                                "'--out', 'fresh']) == 0", tmp_path)
+        assert "scipy.fft" in loaded and "scipy.integrate" not in loaded
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
+        assert (tmp_path / "fresh" / "snapshot_t0.txt").read_bytes() \
+            == (tmp_path / "here" / "snapshot_t0.txt").read_bytes()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from chemopattern import (
     ModelParams,
@@ -361,3 +362,29 @@ class TestSolverOracle:
         assert calls[-1][1][2] is False
         for call in calls:
             self.assert_same(*call)
+
+
+class TestTableau:
+    """``planar`` holds the Dormand-Prince pair as literals so that it does
+    not import scipy; they must stay the bytes scipy's RK45 steps with."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "E", "P"])
+    def test_arrays_are_scipys(self, name):
+        ours, ref = getattr(planar, "_" + name), getattr(RK45, name)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_stage_count_and_order_exponent(self):
+        assert planar._N_STAGES == RK45.n_stages
+        assert planar._ORDER_EXPONENT == 1 / (RK45.error_estimator_order + 1)
+
+    def test_step_collapse_message(self, monkeypatch, rc_super):
+        # a collapse near the origin is no blow-up: integrate raises with
+        # scipy's own message
+        def collapsing(rc, t0, t1, y0, t_eval):
+            return np.empty(0), np.empty((0, 2)), False, np.array(y0)
+
+        monkeypatch.setattr(planar, "_rk45", collapsing)
+        with pytest.raises(RuntimeError) as info:
+            integrate(rc_super, (1e-3, 2e-3), 1.0, 10.0)
+        assert str(info.value) == f"planar integration failed: {RK45.TOO_SMALL_STEP}"
