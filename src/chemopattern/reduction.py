@@ -41,16 +41,20 @@ CONVENTIONS = ("formula", "paper")
 #: relative to the coefficient scale.
 RESIDUAL_RTOL = 1e-10
 
-#: |a_q| below this (times the coefficient scale) selects the closed-form
-#: equilibrium catalogue.
+#: |a_q| below this (times the coefficient scale) counts as a_q = 0, where
+#: rectangles are allowed; above it a rectangle raises RectangleRootError.
 DEGENERATE_ATOL = 1e-10
 
 #: Eigenvalues below this magnitude (times the Jacobian scale) are flagged
 #: marginal.
 MARGINAL_TOL = 1e-10
 
-#: Iteration cap of the damped Newton polish of equilibrium seeds.
-NEWTON_MAX_ITER = 60
+#: Rounding of the elimination cubic's coefficients (relative eps ~ 2e-16)
+#: splits a double root by about sqrt(eps) ~ 1.5e-8 of its size, into two
+#: close reals or a complex pair.  Roots within this distance (relative to
+#: the amplitude scale) of the real axis and of each other are one real
+#: root, and an off-axis point this close to the roll axis lies on it.
+ROOT_MERGE_RTOL = 1e-7
 
 #: A type-1 transition needs |a_q| below this times sqrt(|b1| * sigma-scale).
 TYPE1_SMALLNESS = 0.1
@@ -321,138 +325,71 @@ def classify_equilibrium(y, rc: ReducedCoefficients) -> EquilibriumPoint:
     )
 
 
-def hexagon_ordinates(rc: ReducedCoefficients) -> list[float]:
-    """Real roots of sigma + 4*a_q*Y + (b1 + 4*b2)*Y^2 = 0 for sigma1 = sigma2.
+def _stationary_points(rc: ReducedCoefficients) -> list[tuple[float, float]]:
+    """Every nontrivial stationary point, by elimination.
 
-    Points (+-2Y, Y) with these ordinates carry the ratio-locked branch even
-    when the quadratic coefficient is nonzero.
+    Rolls (0, +-sqrt(-sigma2/b1)) lie on the invariant axis y1 = 0.  Off it,
+    the first equation gives y1^2 = Q(y2) = -(sigma1 + 4a*y2 + 2*b2*y2^2)/c1
+    with c1 = (b1 + 2*b2)/4, and the second then leaves the cubic
+
+        c1*P(y2) = (c1*b1 - 2*b2^2)*y2^3 - 6*a*b2*y2^2
+                   + (c1*sigma2 - 4*a^2 - b2*sigma1)*y2 - a*sigma1,
+
+    so each real root with Q > 0 gives the points (+-sqrt(Q), y2).  At
+    c1 = 0 the first equation fixes y2 alone and the second gives y1^2.
+    One Newton step takes each off-axis point to rounding.
     """
-    c = rc.frak_b1 + 4.0 * rc.frak_b2
-    disc = 16.0 * rc.frak_a**2 - 4.0 * c * rc.sigma2
-    if disc < 0 or c == 0:
-        return []
-    roots = [(-4.0 * rc.frak_a + s * math.sqrt(disc)) / (2.0 * c) for s in (+1.0, -1.0)]
-    return [r for r in roots if r != 0.0]
-
-
-def mixed_ordinate(rc: ReducedCoefficients) -> float | None:
-    """Closed-form ordinate y2 = 4*a_q/(b1 - 2*b2) of the mixed branch
-    (diagnostic only; the numeric root finder is authoritative)."""
-    d = rc.frak_b1 - 2.0 * rc.frak_b2
-    if d == 0:
-        return None
-    return 4.0 * rc.frak_a / d
-
-
-def _closed_form_points(rc: ReducedCoefficients) -> list[tuple[float, float]]:
-    """Nontrivial stationary points for the degenerate case a_q = 0.
-
-    Rolls and rectangles come from the invariant axes; the off-axis points
-    solve a linear 2x2 system in (y1^2, y2^2), which for equal growth rates
-    collapses to the ratio-locked points (+-2t, +-t)."""
+    s1, s2, a, b1, b2 = rc.sigma1, rc.sigma2, rc.frak_a, rc.frak_b1, rc.frak_b2
+    c1 = 0.25 * (b1 + 2.0 * b2)
     pts: list[tuple[float, float]] = []
-    if rc.frak_b1 < 0 and rc.sigma2 > 0:
-        ys = math.sqrt(-rc.sigma2 / rc.frak_b1)
-        pts += [(0.0, ys), (0.0, -ys)]
-    c1 = 0.25 * (rc.frak_b1 + 2.0 * rc.frak_b2)
-    if c1 < 0 and rc.sigma1 > 0:
-        yr = math.sqrt(-rc.sigma1 / c1)
-        pts += [(yr, 0.0), (-yr, 0.0)]
-    # off-axis: solve c1*Y1 + 2*b2*Y2 = -sigma1, b2*Y1 + b1*Y2 = -sigma2
-    det = c1 * rc.frak_b1 - 2.0 * rc.frak_b2**2
-    if det != 0.0:
-        Y1 = (-rc.sigma1 * rc.frak_b1 + 2.0 * rc.frak_b2 * rc.sigma2) / det
-        Y2 = (-c1 * rc.sigma2 + rc.frak_b2 * rc.sigma1) / det
-        if Y1 > 0 and Y2 > 0:
-            s1, s2 = math.sqrt(Y1), math.sqrt(Y2)
-            pts += [(s1, s2), (-s1, s2), (s1, -s2), (-s1, -s2)]
-    return pts
-
-
-def _newton_polish(y0, rc: ReducedCoefficients) -> tuple[float, float] | None:
-    """Damped Newton iteration on the truncated field; None on failure."""
-    y = np.array(y0, dtype=float)
-    tol = RESIDUAL_RTOL * max(rc.scale, 1.0)
-    f = reduced_vector_field(y, rc)
-    for _ in range(NEWTON_MAX_ITER):
-        nf = np.linalg.norm(f)
-        if nf <= 0.1 * tol:
-            return float(y[0]), float(y[1])
-        J = vector_field_jacobian(y, rc)
-        try:
-            dy = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        for _ in range(30):
-            y_new = y + lam * dy
-            f_new = reduced_vector_field(y_new, rc)
-            if np.linalg.norm(f_new) < nf:
-                y, f = y_new, f_new
-                break
-            lam *= 0.5
+    roll_sq = -s2 / b1 if b1 else 0.0
+    if roll_sq > 0:
+        pts += [(0.0, math.sqrt(roll_sq)), (0.0, -math.sqrt(roll_sq))]
+    if c1:
+        cubic = [c1 * b1 - 2.0 * b2 * b2, -6.0 * a * b2, c1 * s2 - 4.0 * a * a - b2 * s1, -a * s1]
+    else:
+        cubic = [2.0 * b2, 4.0 * a, s1]
+    amp = _amplitude_scale(rc)
+    roots: list[float] = []
+    for r in np.roots(cubic):
+        y2, near = float(r.real), ROOT_MERGE_RTOL * max(amp, abs(r.real))
+        if abs(r.imag) <= near and all(abs(y2 - q) > near for q in roots):
+            roots.append(y2)
+    for y2 in roots:
+        if c1:
+            y1_sq = -(s1 + 4.0 * a * y2 + 2.0 * b2 * y2 * y2) / c1
         else:
-            return None
-    return (float(y[0]), float(y[1])) if np.linalg.norm(f) <= tol else None
-
-
-def _numeric_points(rc: ReducedCoefficients) -> list[tuple[float, float]]:
-    """Multi-start Newton catalogue for a_q != 0.
-
-    Seeds: the degenerate closed forms (with small perturbations), the
-    ratio-locked and mixed closed forms, and a coarse polar grid sized by the
-    amplitude scale.  Roots are deduplicated on a 1e-6 radius.
-    """
-    A = _amplitude_scale(rc)
-    seeds: list[tuple[float, float]] = []
-    base = _closed_form_points(rc)
-    # closed forms of the degenerate system, nudged both ways
-    for (p1, p2) in base:
-        for eps in (0.0, 0.05 * A, -0.05 * A):
-            seeds.append((p1 + eps, p2 + 0.5 * eps))
-    for Y in hexagon_ordinates(rc):
-        seeds += [(2.0 * Y, Y), (-2.0 * Y, Y)]
-    ym = mixed_ordinate(rc)
-    if ym is not None:
-        c1 = 0.25 * (rc.frak_b1 + 2.0 * rc.frak_b2)
-        if c1 != 0:
-            y1sq = -(rc.sigma1 + 4.0 * rc.frak_a * ym + 2.0 * rc.frak_b2 * ym**2) / c1
-            if y1sq > 0:
-                seeds += [(math.sqrt(y1sq), ym), (-math.sqrt(y1sq), ym)]
-    for r_fac in (0.5, 1.0, 1.5):
-        for j in range(8):
-            th = (j + 0.5) * math.pi / 4.0
-            seeds.append((r_fac * A * math.cos(th), r_fac * A * math.sin(th)))
-
-    dedup_radius = max(1e-6, 1e-9 * A)
-    found: list[tuple[float, float]] = []
-    for s in seeds:
-        root = _newton_polish(s, rc)
-        if root is None:
+            y1_sq = -(s2 * y2 + b1 * y2**3) / (a + b2 * y2)
+        if y1_sq <= (ROOT_MERGE_RTOL * amp) ** 2:  # a roll or the origin, on the axis
             continue
-        if math.hypot(*root) <= dedup_radius:  # trivial point handled separately
-            continue
-        if all(math.hypot(root[0] - q[0], root[1] - q[1]) > dedup_radius for q in found):
-            found.append(root)
-    return found
+        for y1 in (math.sqrt(y1_sq), -math.sqrt(y1_sq)):
+            y = np.array([y1, y2])
+            f = reduced_vector_field(y, rc)
+            step = y - np.linalg.solve(vector_field_jacobian(y, rc), f)
+            # near a double root the Jacobian is near singular and the step
+            # can overshoot; it is kept only where it lowers the residual
+            if np.linalg.norm(reduced_vector_field(step, rc)) < np.linalg.norm(f):
+                y = step
+            pts.append((float(y[0]), float(y[1])))
+    return pts
 
 
 def equilibria(rc: ReducedCoefficients) -> list[EquilibriumPoint]:
     """Stationary points of the truncated planar system, classified.
 
-    For |a_q| below ``DEGENERATE_ATOL`` (relative to the coefficient scale)
-    the closed-form catalogue is used; otherwise a multi-start Newton search.
-    In the nondegenerate case a pure-rectangle root contradicts the structure
-    of the system (y2' contains a_q*y1^2) and raises
-    :class:`RectangleRootError`.
+    The catalogue is exact and needs no seeds: the rolls on the invariant
+    axis plus the real roots of one elimination cubic (see
+    :func:`_stationary_points`), the same path for a_q = 0 and a_q != 0.
+    For |a_q| above ``DEGENERATE_ATOL`` (relative to the coefficient scale)
+    a pure-rectangle root contradicts the structure of the system (y2'
+    contains a_q*y1^2) and raises :class:`RectangleRootError`.
 
     The trivial point is always first; the remaining points are sorted by
     angle for deterministic output.
     """
     degenerate = abs(rc.frak_a) <= DEGENERATE_ATOL * max(rc.scale, 1.0)
-    pts = _closed_form_points(rc) if degenerate else _numeric_points(rc)
     out = [classify_equilibrium((0.0, 0.0), rc)]
-    for y in sorted(pts, key=lambda q: math.atan2(q[1], q[0])):
+    for y in sorted(_stationary_points(rc), key=lambda q: math.atan2(q[1], q[0])):
         e = classify_equilibrium(y, rc)
         if not degenerate and e.pattern_class == "rectangle":
             raise RectangleRootError(

@@ -9,6 +9,7 @@ independent.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.fft import dct
@@ -214,52 +215,79 @@ def pair_nonlinear_by_dct(cu: np.ndarray, cv: np.ndarray, g: DomainGeometry, p: 
     return _dct_analysis(h, n1, n2) + 0.5 * rt * _dct_analysis(U * V, n1, n2)
 
 
-def count_root_clusters(field, box: float, n: int = 400) -> int:
-    """Count nontrivial roots of a planar field by a sign-change grid scan.
+def count_roots_by_index(field, box: float, n: int = 401) -> int:
+    """Count nontrivial roots of a planar field by the winding of the field
+    around each cell of an n x n grid.
 
-    Cells where both components change sign are clustered by 8-connectivity;
-    the cluster containing the origin is dropped.  Robust for isolated,
-    transversal roots, which is all the truncated system has.
+    The winding over a cell's four corners is exact for a field linear on
+    the cell, and a transversal root has index +-1, so each cell holding one
+    root counts once.  A scan for cells where both components change sign
+    needs clustering, which splits shallow nullcline crossings in two and
+    merges roots a few cells apart; the winding needs none.  ``n`` is odd so
+    that the axes, where rolls lie, and the origin fall inside cells; the
+    origin's cell is dropped.
     """
     xs = np.linspace(-box, box, n + 1)
-    ys = np.linspace(-box, box, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     F1, F2 = field((X, Y))
-    s1 = np.signbit(F1)
-    s2 = np.signbit(F2)
+    th = np.arctan2(F2, F1)
 
-    def changes(s):
-        c = np.zeros((n, n), dtype=bool)
-        core = s[:-1, :-1]
-        for dx, dy in ((1, 0), (0, 1), (1, 1)):
-            c |= core != s[dx:dx + n, dy:dy + n]
-        return c
+    def turn(a, b):
+        return (b - a + np.pi) % (2.0 * np.pi) - np.pi
 
-    candidate = changes(s1) & changes(s2)
-    labels = np.zeros((n, n), dtype=int)
-    current = 0
-    clusters_with_origin = 0
-    mid = n // 2
-    for i, j in zip(*np.nonzero(candidate)):
-        if labels[i, j]:
-            continue
-        current += 1
-        stack = [(i, j)]
-        labels[i, j] = current
-        touches_origin = False
-        while stack:
-            a, b = stack.pop()
-            if abs(a - mid) <= 1 and abs(b - mid) <= 1:
-                touches_origin = True
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    aa, bb = a + da, b + db
-                    if 0 <= aa < n and 0 <= bb < n and candidate[aa, bb] and not labels[aa, bb]:
-                        labels[aa, bb] = current
-                        stack.append((aa, bb))
-        if touches_origin:
-            clusters_with_origin += 1
-    return current - clusters_with_origin
+    c00, c10, c11, c01 = th[:-1, :-1], th[1:, :-1], th[1:, 1:], th[:-1, 1:]
+    winding = turn(c00, c10) + turn(c10, c11) + turn(c11, c01) + turn(c01, c00)
+    index = np.rint(winding / (2.0 * np.pi)).astype(int)
+    index[n // 2, n // 2] = 0
+    return int(np.count_nonzero(index))
+
+
+def exact_newton_root(rc, y, iters: int = 3) -> tuple[float, float]:
+    """The stationary point of the truncated planar system next to ``y``, by
+    Newton's method in rational arithmetic on the coefficients as stored,
+    then rounded to floats: the reference for the accuracy of
+    ``equilibria``.  The field and its Jacobian are written out again from
+    the amplitude equations; each iterate is rounded to 60 digits, and three
+    iterations from a point 1e-14 off reach far below double precision."""
+    s1, s2, a, b1, b2 = (Fraction(v) for v in (rc.sigma1, rc.sigma2, rc.frak_a,
+                                                 rc.frak_b1, rc.frak_b2))
+    c1 = (b1 + 2 * b2) / 4
+    y1, y2 = Fraction(y[0]), Fraction(y[1])
+    for _ in range(iters):
+        f1 = s1 * y1 + 4 * a * y1 * y2 + c1 * y1**3 + 2 * b2 * y1 * y2**2
+        f2 = s2 * y2 + a * y1**2 + b1 * y2**3 + b2 * y2 * y1**2
+        j11 = s1 + 4 * a * y2 + 3 * c1 * y1**2 + 2 * b2 * y2**2
+        j12 = 4 * a * y1 + 4 * b2 * y1 * y2
+        j21 = 2 * a * y1 + 2 * b2 * y1 * y2
+        j22 = s2 + 3 * b1 * y2**2 + b2 * y1**2
+        det = j11 * j22 - j12 * j21
+        y1 = (y1 - (j22 * f1 - j12 * f2) / det).limit_denominator(10**60)
+        y2 = (y2 - (j11 * f2 - j21 * f1) / det).limit_denominator(10**60)
+    return float(y1), float(y2)
+
+
+def hexagon_ordinates(rc) -> list[float]:
+    """Real roots of sigma + 4*a_q*Y + (b1 + 4*b2)*Y^2 = 0 for sigma1 = sigma2.
+
+    Points (+-2Y, Y) with these ordinates carry the ratio-locked branch even
+    when the quadratic coefficient is nonzero: the closed-form reference for
+    the hexagons of ``equilibria``.
+    """
+    c = rc.frak_b1 + 4.0 * rc.frak_b2
+    disc = 16.0 * rc.frak_a**2 - 4.0 * c * rc.sigma2
+    if disc < 0 or c == 0:
+        return []
+    roots = [(-4.0 * rc.frak_a + s * math.sqrt(disc)) / (2.0 * c) for s in (+1.0, -1.0)]
+    return [r for r in roots if r != 0.0]
+
+
+def mixed_ordinate(rc) -> float | None:
+    """Closed-form ordinate y2 = 4*a_q/(b1 - 2*b2) of the mixed branch for
+    sigma1 = sigma2: the reference for the mixed points of ``equilibria``."""
+    d = rc.frak_b1 - 2.0 * rc.frak_b2
+    if d == 0:
+        return None
+    return 4.0 * rc.frak_a / d
 
 
 def rk45_by_scipy(rc, t0: float, t1: float, y0, t_eval):

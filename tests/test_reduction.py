@@ -21,14 +21,18 @@ from chemopattern import (
     slaved_modes,
     transition_type,
 )
-from chemopattern.reduction import (
+from chemopattern.reduction import RESIDUAL_RTOL, vector_field_jacobian
+
+from oracles import (
+    cos_mode,
+    count_roots_by_index,
+    exact_newton_root,
+    grad_dot,
     hexagon_ordinates,
     mixed_ordinate,
-    vector_field_jacobian,
-    _numeric_points,
+    trapezoid_grid,
+    trapezoid_inner,
 )
-
-from oracles import cos_mode, count_root_clusters, grad_dot, trapezoid_grid, trapezoid_inner
 
 
 class TestQuadraticCoefficient:
@@ -156,6 +160,21 @@ def _supercritical(rc, sig=1.0):
     return replace(rc, sigma1=sig, sigma2=sig)
 
 
+def _nondegenerate(g, convention="formula"):
+    """1% perturbations of length and coupling switch the quadratic term on."""
+    g2 = DomainGeometry(g.ell1 * 1.01, g.ell2 * 1.01)
+    crit2 = lambda_critical(ModelParams(8, 1, 18), g2)
+    return cubic_coefficients(ModelParams(8.0, 1.0, crit2.lambda_c * 1.01), g2, 1, 1, convention)
+
+
+def _elimination_cubic(rc):
+    """Coefficients of c1*P(y2), highest power first: the cubic left by
+    putting y1^2 = Q(y2) from the first equation into the second."""
+    s1, s2, a, b1, b2 = rc.sigma1, rc.sigma2, rc.frak_a, rc.frak_b1, rc.frak_b2
+    c1 = 0.25 * (b1 + 2.0 * b2)
+    return [c1 * b1 - 2.0 * b2**2, -6.0 * a * b2, c1 * s2 - 4.0 * a**2 - b2 * s1, -a * s1]
+
+
 class TestReducedVectorField:
     def test_origin_is_stationary(self, bench):
         _, _, _, rc = bench
@@ -241,15 +260,6 @@ class TestEquilibria:
                 assert abs(e.y[1]) == pytest.approx(t, rel=1e-12)
                 assert abs(e.y[0]) == pytest.approx(2.0 * t, rel=1e-12)
 
-    def test_closed_forms_match_newton(self, bench):
-        _, _, _, rc = bench
-        rc = _supercritical(rc, 0.7)
-        closed = {e.y for e in equilibria(rc) if e.pattern_class != "trivial"}
-        numeric = _numeric_points(rc)
-        assert len(numeric) == len(closed)
-        for y in numeric:
-            assert min(math.hypot(y[0] - c[0], y[1] - c[1]) for c in closed) <= 1e-8
-
     def test_residuals_below_tolerance(self, bench):
         _, _, _, rc = bench
         rc = _supercritical(rc, 0.3)
@@ -257,12 +267,8 @@ class TestEquilibria:
             assert np.linalg.norm(reduced_vector_field(e.y, rc)) <= 1e-10 * rc.scale
 
     def test_nondegenerate_catalogue_and_grid_scan(self, bench):
-        p, g, crit, _ = bench
-        # 1% perturbations of length and coupling switch the quadratic term on
-        g2 = DomainGeometry(g.ell1 * 1.01, g.ell2 * 1.01)
-        crit2 = lambda_critical(ModelParams(8, 1, 18), g2)
-        p2 = ModelParams(8.0, 1.0, crit2.lambda_c * 1.01)
-        rc = cubic_coefficients(p2, g2, 1, 1)
+        _, g, _, _ = bench
+        rc = _nondegenerate(g)
         assert rc.frak_a != 0.0
         eqs = equilibria(rc)
         classes = sorted(e.pattern_class for e in eqs if e.pattern_class != "trivial")
@@ -276,7 +282,7 @@ class TestEquilibria:
             return reduced_vector_field(y, rc)
 
         amp = max(max(abs(e.y[0]), abs(e.y[1])) for e in eqs)
-        assert count_root_clusters(field, box=1.6 * amp) == 8
+        assert count_roots_by_index(field, box=1.6 * amp) == 8
 
         # the closed-form mixed ordinate is a valid diagnostic
         ym = mixed_ordinate(rc)
@@ -286,6 +292,143 @@ class TestEquilibria:
         # ratio-locked ordinates match the quadratic roots
         hexs = sorted({round(e.y[1], 12) for e in eqs if e.pattern_class == "hexagon"})
         assert hexs == sorted(round(v, 12) for v in hexagon_ordinates(rc))
+
+    @pytest.mark.parametrize("convention", ["formula", "paper"])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_nondegenerate_points_match_closed_forms(self, bench, convention, flip):
+        # the elimination gives the roots themselves, not a point within a
+        # residual tolerance of them: hexagons and mixed points agree with
+        # their closed forms to rounding, for both signs of b1 - 2*b2
+        _, g, _, _ = bench
+        rc = _nondegenerate(g, convention)
+        if flip:
+            rc = rc.with_cubic_override(rc.frak_b1, 0.2 * rc.frak_b1)
+        eqs = equilibria(rc)
+        hexs = [e for e in eqs if e.pattern_class == "hexagon"]
+        mixed = [e for e in eqs if e.pattern_class == "mixed"]
+        assert len(hexs) == 4 and len(mixed) == 2
+        ordinates = hexagon_ordinates(rc)
+        for e in hexs:
+            Y = min(ordinates, key=lambda v: abs(v - e.y[1]))
+            assert e.y[1] == pytest.approx(Y, rel=1e-13)
+            assert abs(e.y[0]) == pytest.approx(2.0 * abs(e.y[1]), rel=1e-13)
+        for e in mixed:
+            assert e.y[1] == pytest.approx(mixed_ordinate(rc), rel=1e-13)
+
+    def test_rectangle_root_error_band(self, bench):
+        # a mixed root whose y2 = 4*a_q/(b1 - 2*b2) falls under
+        # classify_pattern's tolerance is a rectangle with a_q != 0
+        _, _, _, rc0 = bench
+        rc0 = _supercritical(rc0, 0.05)
+
+        def at(a_rel):
+            return replace(rc0, frak_a=a_rel * rc0.scale)
+
+        with pytest.raises(RectangleRootError):
+            equilibria(at(2e-10))
+        assert [e.pattern_class for e in equilibria(at(1e-9))].count("mixed") == 2
+        classes = [e.pattern_class for e in equilibria(at(0.0))]
+        assert classes.count("rectangle") == 2 and "mixed" not in classes
+
+    def test_unsaturated_rectangle_ray(self, bench):
+        # c1 = (b1 + 2*b2)/4 = 0: the first equation fixes y2 alone and the
+        # second gives y1^2; every point passes the residual gate and the
+        # winding scan finds no other
+        _, _, _, rc0 = bench
+        for sig, b1, a in ((0.3, -3.0, 0.5), (-0.3, -3.0, 0.05), (0.3, 3.0, 0.05)):
+            rc = replace(rc0, sigma1=sig, sigma2=sig, frak_a=a, frak_b1=b1, frak_b2=-0.5 * b1)
+            eqs = equilibria(rc)
+            assert len(eqs) > 1
+            amp = max(max(abs(e.y[0]), abs(e.y[1])) for e in eqs)
+            assert count_roots_by_index(lambda y, rc=rc: reduced_vector_field(y, rc),
+                                        box=1.6 * amp) == len(eqs) - 1
+
+    def test_mixed_branch_meeting_roll_axis_adds_no_roll(self, bench):
+        # sigma1 is chosen so that the off-axis curve y1^2 = Q(y2) closes
+        # exactly at the roll ordinate: that root of the cubic has Q ~ 1e-17
+        # and is the roll itself, for every rounding of sigma1 around it
+        _, _, _, rc0 = bench
+        b1, b2, s2, a = -3.0, -1.0, 0.3, 0.05
+        yr = math.sqrt(-s2 / b1)
+        s1 = -4.0 * a * yr - 2.0 * b2 * yr**2
+        for k in range(-2, 3):
+            rc = replace(rc0, sigma1=s1 + k * np.spacing(s1), sigma2=s2,
+                         frak_a=a, frak_b1=b1, frak_b2=b2)
+            assert min(abs(r - yr) for r in np.roots(_elimination_cubic(rc))) <= 1e-12
+            pts = [e for e in equilibria(rc) if e.pattern_class != "trivial"]
+            assert sorted(e.pattern_class for e in pts) == ["mixed", "mixed", "roll", "roll"]
+            assert min(math.dist(p.y, q.y) for p in pts for q in pts if p is not q) > 0.1
+
+    def test_near_double_root_is_one_root(self, bench):
+        # at 16*a^2 = 4*(b1 + 4*b2)*sigma the hexagon ordinates coincide; a
+        # 3e-15 change of a_q either side makes np.roots return them as a
+        # complex pair with imaginary part ~1e-8 or as two reals ~1e-8 apart,
+        # and both are the one pair of hexagons (+-2Y, Y)
+        _, _, _, rc0 = bench
+        b1, b2, sig = -3.0, -39.0 / 16.0, -0.2
+        c = b1 + 4.0 * b2
+        a0 = 0.5 * math.sqrt(c * sig)
+        Y = -2.0 * a0 / c
+        kinds = set()
+        for f in (1.0 - 3e-15, 1.0, 1.0 + 3e-15):
+            rc = replace(rc0, sigma1=sig, sigma2=sig, frak_a=a0 * f, frak_b1=b1, frak_b2=b2)
+            near = [r for r in np.roots(_elimination_cubic(rc)) if abs(r - Y) < 1e-6]
+            kinds.add(bool(near[0].imag))
+            hexs = [e for e in equilibria(rc) if e.pattern_class == "hexagon"]
+            assert len(hexs) == 2
+            for e in hexs:
+                assert e.y[1] == pytest.approx(Y, rel=1e-7)
+        assert kinds == {True, False}
+
+    def test_random_stabilizing_sets(self, bench):
+        # independent lines of evidence over random stabilizing coefficient
+        # sets (b1 < 0, b1 + 2*b2 < 0, b1 + 4*b2 < 0), sigma1 != sigma2 and
+        # both signs of b1 - 2*b2: residuals, the distance to the exact root,
+        # a per-cell winding scan for the count, and the determinant signs
+        # the elimination predicts.  The roots of the cubic alone are within
+        # about 3e-15 of the point's size; the Newton step on the unreduced
+        # equations leaves only rounding
+        _, _, _, rc0 = bench
+        rng = np.random.default_rng(2013)
+        signs = set()
+        for _ in range(30):
+            b1 = -float(rng.uniform(0.5, 4.0))
+            b2 = float(rng.uniform(-1.5, 0.2)) * abs(b1)
+            s1, s2 = (float(v) for v in rng.uniform(0.01, 0.5, size=2))
+            a = float(rng.uniform(-0.5, 0.5)) * math.sqrt(abs(b1) * max(s1, s2))
+            rc = replace(rc0, sigma1=s1, sigma2=s2, frak_a=a, frak_b1=b1, frak_b2=b2)
+            signs.add(b1 - 2.0 * b2 > 0)
+            eqs = equilibria(rc)
+
+            def field(y, rc=rc):
+                return reduced_vector_field(y, rc)
+
+            for e in eqs:
+                assert np.linalg.norm(field(e.y)) <= RESIDUAL_RTOL * max(rc.scale, 1.0)
+            for e in eqs[1:]:
+                assert math.dist(exact_newton_root(rc, e.y), e.y) <= 2e-15 * math.hypot(*e.y)
+            amp = max(max(abs(e.y[0]), abs(e.y[1])) for e in eqs)
+            assert count_roots_by_index(field, box=1.6 * amp) == len(eqs) - 1
+
+            # det J = 2*sigma2*c1*Q(y2) on the roll axis and 2*y1^2*(c1*P)'(y2)
+            # off it, and the index sum is the winding number on a circle
+            c1 = 0.25 * (b1 + 2.0 * b2)
+            dcubic = np.polyder(_elimination_cubic(rc))
+            index_sum = 0
+            for e in eqs[1:]:
+                y1, y2 = e.y
+                if e.pattern_class == "roll":
+                    det = -2.0 * s2 * (s1 + 4.0 * a * y2 + 2.0 * b2 * y2**2)
+                else:
+                    det = 2.0 * y1**2 * np.polyval(dcubic, y2)
+                assert (e.stability == "saddle") == (det < 0)
+                index_sum += 1 if det > 0 else -1
+            index_sum += 1 if s1 * s2 > 0 else -1
+            th = np.linspace(0.0, 2.0 * np.pi, 4097)
+            f1, f2 = field((2.0 * amp * np.cos(th), 2.0 * amp * np.sin(th)))
+            winding = np.diff(np.unwrap(np.arctan2(f2, f1))).sum() / (2.0 * np.pi)
+            assert index_sum == round(winding)
+        assert signs == {True, False}
 
 
 class TestClassifyEquilibrium:
