@@ -7,10 +7,13 @@ ring (the circle attractor).  Heteroclinic connections are found by shooting
 from saddle points along their unstable eigendirections, which is robust for a
 planar system with hyperbolic saddles.
 
-Every trajectory is stepped in-package by ``_rk45``, which takes the same
-steps as scipy's ``solve_ivp`` RK45 with the same floating-point results.
-It holds the Dormand-Prince tableau as literals, so the module needs only
-numpy and the kinds built on it start without importing scipy.
+Every trajectory is a lane of ``_Lanes``, which steps any number of them
+together: all rays of a basin survey, or all shots of an attractor graph,
+take one pass of array operations per Runge-Kutta attempt, and each lane
+keeps its own time, step size, sampling chunk and stopping test.  A lane takes
+the same steps as scipy's ``solve_ivp`` RK45 with the same floating-point
+results.  The Dormand-Prince tableau is held as literals, so the module needs
+only numpy and the kinds built on it start without importing scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import map_in_order
 from .reduction import (
     EquilibriumPoint,
     ReducedCoefficients,
@@ -28,6 +30,7 @@ from .reduction import (
     reduced_vector_field,
     vector_field_jacobian,
     _amplitude_scale,
+    _field_from_powers,
 )
 
 #: Fraction of the amplitude scale used as capture radius around equilibria.
@@ -110,103 +113,277 @@ def _match_equilibrium(y, rc, eq_list, radius) -> EquilibriumPoint | None:
     return best if dist <= radius else None
 
 
-def _rms(a: float, b: float) -> float:
-    """scipy's RMS norm of the 2-vector (a, b), squared through numpy's dot."""
-    x = np.array((a, b))
-    return math.sqrt(x.dot(x)) / _SQRT2
+def _rms(x: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm of each row of ``x``, shape (n, 2).  The sum of
+    squares is numpy's dot of the row with itself (BLAS may fuse it), taken
+    as a stacked ``matmul``, which gives the same bytes."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]) / _SQRT2
 
 
-def _rk45(rc: ReducedCoefficients, t0: float, t1: float, y0: tuple[float, float],
-          t_eval: np.ndarray):
-    """The steps scipy's ``solve_ivp(method="RK45", rtol=1e-10, atol=1e-12,
-    t_eval=t_eval)`` takes on the planar field from ``(t0, y0)`` to
-    ``t1 > t0``, with the same floating-point results.
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` element by element through Python's float power, which is
+    the C library's ``pow`` that a numpy scalar's power calls too; numpy's
+    array power rounds some squares and cubes differently."""
+    return np.fromiter(map(pow, x.tolist(), [e] * len(x)), float, len(x))
 
-    Every dot product is the numpy call scipy makes, on the same shapes (BLAS
-    may fuse and reorder its sums); the element-wise arithmetic runs on
-    Python floats, which round as numpy's do.  The initial step follows
-    Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.4, as scipy does.
-    Returns ``(times, states, success, y_last)``: the samples of ``t_eval``
-    reached and their states, shape (len(times), 2); whether the steps
-    reached ``t1`` before the step size collapsed; the last accepted state.
+
+#: Below this many lanes the field is cheaper on Python floats lane by lane
+#: than as array operations, whose cost per call does not shrink with them.
+_FEW_LANES = 12
+
+
+def _lane_field(y: np.ndarray, rc: ReducedCoefficients, out: np.ndarray) -> None:
+    """``reduced_vector_field`` at each row of ``y``, shape (n, 2), written
+    to ``out`` with the same bytes: the powers are Python's float powers,
+    lane by lane, and the rest rounds the same on floats and on arrays."""
+    if len(y) < _FEW_LANES:
+        out[:] = [_field_from_powers(a, b, a ** 2, a ** 3, b ** 2, b ** 3, rc)
+                  for a, b in y.tolist()]
+        return
+    n = len(y)
+    c = y.T.ravel().tolist()
+    p = np.fromiter(map(pow, c + c, [2.0] * (2 * n) + [3.0] * (2 * n)), float, 4 * n)
+    out[:, 0], out[:, 1] = _field_from_powers(y[:, 0], y[:, 1], p[:n], p[2 * n:3 * n],
+                                              p[n:2 * n], p[3 * n:], rc)
+
+
+class _Lanes:
+    """Trajectories of the truncated field from ``starts``, stepped together.
+
+    Lane j is ``integrate(rc, starts[j], dt, t_end, targets[j])``: scipy's
+    RK45 steps across chunks of at most 50 time units, each restarted with a
+    fresh initial step (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
+    II.4) from the last sample of the one before, samples at ``k*dt`` from
+    the dense output, and a stop at the first sample that blows up or that a
+    target captures.  Every Runge-Kutta attempt is one pass of array
+    operations over the live lanes, each with its own time, step size,
+    rejection flag and chunk; the row arrays hold the live lanes in lane
+    order, and a lane's row goes when it stops.  With ``samples`` false a
+    lane's trajectory holds only its start, for callers that need no more
+    than where it ends.
+
+    Each lane's arithmetic is the one scipy does on its own: the stage,
+    solution and error sums are stacked ``matmul``s, which give the bytes of
+    scipy's per-lane ``dot``; element-wise work rounds the same on arrays;
+    powers go through ``pow``.  The dense output is stacked only over lanes
+    with as many samples in the step, where it gives scipy's bytes too.
     """
-    K = np.empty((_N_STAGES + 1, 2))
-    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, _N_STAGES)]
-    K_head_T, K_T = K[:-1].T, K.T
-    y1, y2 = y0
-    f = reduced_vector_field((y1, y2), rc)
-    f1, f2 = f.tolist()
-    s1, s2 = _ATOL + abs(y1) * _RTOL, _ATOL + abs(y2) * _RTOL
-    d0, d1 = _rms(y1 / s1, y2 / s2), _rms(f1 / s1, f2 / s2)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
-    g1, g2 = reduced_vector_field((y1 + h0 * f1, y2 + h0 * f2), rc).tolist()
-    # h0 underflows to 0 only for a huge or non-finite d1, where numpy's
-    # division gives inf or nan and either way h_abs = 0
-    d2 = _rms((g1 - f1) / s1, (g2 - f2) / s2) / h0 if h0 > 0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXPONENT
-    h_abs = min(100 * h0, h1, t1 - t0)
 
-    te = t_eval.tolist()
-    t, i, times, states = t0, 0, [], []
-    while t < t1:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return (*_samples(times, states), False, (y1, y2))
-            t_new = min(t + h_abs, t1)
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s, KT, a in stages:
-                dy1, dy2 = KT.dot(a).tolist()
-                K[s] = reduced_vector_field((y1 + dy1 * h, y2 + dy2 * h), rc)
-            b1, b2 = K_head_T.dot(_B).tolist()
-            n1, n2 = y1 + h * b1, y2 + h * b2
-            f_new = K[-1] = reduced_vector_field((n1, n2), rc)
-            e1, e2 = K_T.dot(_E).tolist()
-            # np.maximum would give nan where max() does not, but a nan
-            # state has a nan or infinite error, rejected either way
-            err = _rms(e1 * h / (_ATOL + max(abs(y1), abs(n1)) * _RTOL),
-                       e2 * h / (_ATOL + max(abs(y2), abs(n2)) * _RTOL))
-            if err < 1:
-                factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err ** -_ORDER_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXPONENT)
-            rejected = True
-        t_old, o1, o2 = t, y1, y2
-        t, y1, y2, f = t_new, n1, n2, f_new
-        j = i
-        while j < len(te) and te[j] <= t:
-            j += 1
-        if j > i:
-            # scipy's dense output on the step, for all its samples at once:
-            # the powers x, x^2, ... of the step fraction as its cumprod
-            # forms them, then one product with Q = K^T P
-            h = t - t_old
-            x = [(te[m] - t_old) / h for m in range(i, j)]
-            powers = [x]
-            for _ in range(_P.shape[1] - 1):
-                powers.append([a * b for a, b in zip(powers[-1], x)])
-            ys = h * np.dot(K_T.dot(_P), np.array(powers))
-            ys += np.array((o1, o2))[:, None]
-            times.append(t_eval[i:j])
-            states.append(ys)
-            i = j
-    return (*_samples(times, states), True, (y1, y2))
+    _ROWS = ("lane", "k", "t0", "y0", "t", "t1", "y", "f", "h", "rej", "nfev", "K", "te", "ys", "i")
 
+    def __init__(self, rc: ReducedCoefficients, starts, dt: float, t_end: float, targets,
+                 samples: bool = True):
+        if dt <= 0 or t_end <= 0:
+            raise ValueError("dt and t_end must be positive")
+        for y in starts:
+            y = np.asarray(y, dtype=float)
+            if y.shape != (2,) or not np.isfinite(y).all():
+                raise ValueError(f"y0 must be a finite point (y1, y2), got {y!r}")
+        n = len(starts)
+        self.rc, self.dt, self.t_end = rc, dt, t_end
+        self.radius = _capture_radius(rc)
+        self.chunk = max(dt, min(t_end / 20.0, 50.0))
+        self.targets = targets
+        # each lane's targets as the rows (y1 of each, y2 of each)
+        self.eq_y = [np.array([e.y for e in q], dtype=float).reshape(-1, 2).T.copy()
+                     for q in targets]
+        y0 = np.array(starts, dtype=float).reshape(n, 2)
+        self.samples = samples
+        self.pieces = [([np.zeros(1)], [y0[j:j + 1].copy()]) for j in range(n)]
+        self.out: list[Trajectory | None] = [None] * n
+        # per row: the lane, its samples so far, the chunk's start (t0, y0)
+        # and end t1, the solver state and field evaluations, and the
+        # chunk's sample times te (padded with inf), the samples ys reached
+        # and their count i
+        self.lane, self.k = np.arange(n), np.zeros(n, dtype=int)
+        self.t0, self.y0, self.t, self.t1 = np.zeros(n), y0, np.zeros(n), np.zeros(n)
+        self.y, self.f, self.h = y0.copy(), np.empty((n, 2)), np.empty(n)
+        self.rej, self.nfev = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+        self.K = np.empty((n, _N_STAGES + 1, 2))
+        width = int(self.chunk / dt) + 3  # the samples of a chunk, and a spare
+        self.te, self.ys = np.full((n, width), np.inf), np.empty((n, width, 2))
+        self.i = np.zeros(n, dtype=int)
 
-def _samples(times: list, states: list) -> tuple[np.ndarray, np.ndarray]:
-    """Join ``_rk45``'s per-step sample times and (2, m) state blocks."""
-    if not times:
-        return np.empty(0), np.empty((0, 2))
-    return np.concatenate(times), np.concatenate(states, axis=1).T
+    def run(self) -> list[Trajectory]:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rows = range(len(self.lane))
+            fresh = [r for r in rows if self._next(r, 0.0, self.y0[r], 0)]
+            self._restart(fresh, [r for r in rows if r not in fresh])
+            while len(self.lane):
+                self._attempt()
+        return self.out
+
+    def _next(self, r: int, t: float, y: np.ndarray, k: int) -> bool:
+        """Open row r's next chunk from the sample (t, y), the lane's k-th, or
+        stop the lane when t is its end.  Returns whether the lane goes on."""
+        if not self.t_end - t > 1e-9 * self.dt:
+            self._stop(r, None, False)
+            return False
+        # samples on the k*dt grid add no drift at restarts, whatever dt is
+        t1 = min(t + self.chunk, self.t_end)
+        te = self.dt * np.arange(k + 1, t1 / self.dt + 1)
+        te = te[te <= t1]
+        if len(te) == 0:
+            te = np.array([t1])
+        self.k[r], self.t0[r], self.t[r], self.t1[r], self.i[r] = k, t, t, t1, 0
+        self.y0[r] = self.y[r] = y
+        self.te[r] = np.inf
+        self.te[r, :len(te)] = te
+        return True
+
+    def _restart(self, fresh: list[int], stopped: list[int]) -> None:
+        """Give the rows ``fresh`` their initial steps, as scipy's
+        ``select_initial_step`` does, then drop the rows ``stopped``."""
+        if fresh:
+            r = np.array(fresh)
+            y, interval = self.y[r], self.t1[r] - self.t[r]
+            f, g = np.empty((len(r), 2)), np.empty((len(r), 2))
+            _lane_field(y, self.rc, f)
+            scale = _ATOL + np.abs(y) * _RTOL
+            d0, d1 = _rms(y / scale), _rms(f / scale)
+            h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+            h0 = np.where(interval < h0, interval, h0)
+            _lane_field(y + h0[:, None] * f, self.rc, g)
+            d2 = _rms((g - f) / scale) / h0
+            h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                          np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
+                          _pow(0.01 / np.where(d2 > d1, d2, d1), _ORDER_EXPONENT))
+            h = np.where(h1 < 100 * h0, h1, 100 * h0)
+            self.h[r] = np.where(interval < h, interval, h)
+            self.f[r], self.rej[r], self.nfev[r] = f, False, 2
+        if stopped:
+            keep = np.ones(len(self.lane), dtype=bool)
+            keep[stopped] = False
+            for name in self._ROWS:
+                setattr(self, name, getattr(self, name)[keep])
+
+    def _attempt(self) -> None:
+        """One Runge-Kutta attempt on every row, as scipy's ``_step_impl``
+        makes it: the size is clamped to the minimum step (a retry is above
+        it, or its row has collapsed), an accepted step advances and
+        samples, and a rejected one retries next time with a smaller size
+        unless that falls below the minimum."""
+        rc, K, t, y, t1 = self.rc, self.K, self.t, self.y, self.t1
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        t_new = np.minimum(t + np.maximum(self.h, min_step), t1)
+        h = (t_new - t)[:, None]
+        K[:, 0] = self.f
+        KT = K.transpose(0, 2, 1)
+        for s in range(1, _N_STAGES):
+            _lane_field(y + np.matmul(KT[:, :, :s], _A[s, :s]) * h, rc, K[:, s])
+        y_new = y + h * np.matmul(KT[:, :, :-1], _B)
+        _lane_field(y_new, rc, K[:, -1])
+        self.nfev += _N_STAGES
+        scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+        err = _rms(np.matmul(KT, _E) * h / scale)
+        ok, zero = err < 1, err == 0
+        factor = _SAFETY * _pow(np.where(zero, 1.0, err), -_ORDER_EXPONENT)
+        grow = np.where(zero, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
+        grow = np.where(self.rej, np.minimum(1, grow), grow)
+        # fmax keeps MIN_FACTOR where the factor is nan, as Python's max does
+        self.h = np.abs(h[:, 0]) * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
+        self.rej = ~ok
+        if ok.all():
+            self.t, self.y, self.f = t_new, y_new, K[:, -1].copy()
+        else:
+            self.t = np.where(ok, t_new, t)
+            self.y = np.where(ok[:, None], y_new, y)
+            self.f = np.where(ok[:, None], K[:, -1], self.f)
+        self._sample(t, y)
+        ends = (self.t >= t1) | (self.rej & (self.h < min_step))
+        if ends.any():
+            fresh, stopped = [], []
+            for r in np.flatnonzero(ends).tolist():
+                (fresh if self._end_chunk(r, bool(ok[r])) else stopped).append(r)
+            self._restart(fresh, stopped)
+
+    def _sample(self, t_old: np.ndarray, y_old: np.ndarray) -> None:
+        """scipy's dense output on the rows that stepped past samples, from
+        the step's start (t_old, y_old) and stages K: the powers of the step
+        fraction as ``cumprod`` forms them, then the product with Q = K^T P,
+        stacked over rows with equally many samples (rows sorted by that
+        count)."""
+        count = (self.te > self.t[:, None]).argmax(axis=1)  # te ends in inf
+        m = count - self.i
+        r = np.flatnonzero(m)
+        if not len(r):
+            return
+        if len(r) > 1:
+            r = r[np.argsort(m[r], kind="stable")]
+        m = m[r]
+        # each row's samples in the columns i..count-1 of te and ys; a row
+        # with fewer than the most also fills columns past its count, which
+        # are rewritten when reached, or the spare last one
+        cols = np.minimum(self.i[r, None] + np.arange(m[-1]), self.te.shape[1] - 1)
+        h = self.t[r] - t_old[r]
+        x = (self.te[r[:, None], cols] - t_old[r, None]) / h[:, None]
+        p = np.empty((_P.shape[1],) + x.shape)
+        p[0] = x
+        for q in range(1, _P.shape[1]):
+            p[q] = p[q - 1] * x
+        p = p.transpose(1, 0, 2)
+        Q = np.matmul(self.K[r].transpose(0, 2, 1), _P)
+        Qp = np.empty((len(r), 2, x.shape[1]))
+        ends = [] if m[0] == m[-1] else np.flatnonzero(m[1:] != m[:-1]).tolist()
+        a = 0
+        for b in ends + [len(r) - 1]:
+            n = int(m[b])
+            Qp[a:b + 1, :, :n] = np.matmul(Q[a:b + 1], p[a:b + 1, :, :n])
+            a = b + 1
+        ys = h[:, None, None] * Qp
+        ys += y_old[r, :, None]
+        self.ys[r[:, None], cols] = ys.transpose(0, 2, 1)
+        self.i = count
+
+    def _end_chunk(self, r: int, success: bool) -> bool:
+        """Scan row r's finished chunk, or take its step collapse, and open
+        its next chunk unless the lane stops.  Returns whether it goes on.
+
+        The scan is by arrays: bounds that every stopping sample meets pick
+        the candidates, and only those get the exact tests, in sample order,
+        blow-up (norm above ``DEFAULT_BLOWUP``) first.  A collapse with the
+        last accepted state beyond ten amplitude scales is a finite-time
+        blow-up and stops the lane as divergent; any other collapse raises.
+        """
+        lane, n = self.lane[r], self.i[r]
+        ts, ys = self.te[r, :n], self.ys[r, :n]
+        if not success:
+            # step collapse in a polynomial field means finite-time blow-up;
+            # anything else is a real failure worth surfacing
+            if np.linalg.norm(self.y[r]) > 10.0 * _amplitude_scale(self.rc):
+                self._keep(lane, ts, ys)
+                self._stop(r, None, True)
+                return False
+            raise RuntimeError(f"planar integration failed: {_TOO_SMALL_STEP}")
+        # norm > DEFAULT_BLOWUP implies max|y_i| > DEFAULT_BLOWUP/sqrt(2), and
+        # a Euclidean distance <= radius implies a Chebyshev one <= radius
+        e1, e2 = self.eq_y[lane]
+        near = (np.abs(ys[:, :1] - e1) <= self.radius) & (np.abs(ys[:, 1:] - e2) <= self.radius)
+        candidates = set((np.flatnonzero(near) // len(e1)).tolist())
+        if np.abs(ys).max() > DEFAULT_BLOWUP / 2:
+            candidates.update(np.flatnonzero(np.abs(ys).max(axis=1) > DEFAULT_BLOWUP / 2).tolist())
+        for i in sorted(candidates):
+            diverged = bool(np.linalg.norm(ys[i]) > DEFAULT_BLOWUP)
+            terminal = None if diverged else _match_equilibrium(
+                ys[i], self.rc, self.targets[lane], self.radius)
+            if diverged or terminal is not None:
+                self._keep(lane, ts[:i + 1], ys[:i + 1])
+                self._stop(r, terminal, diverged)
+                return False
+        self._keep(lane, ts, ys)
+        return self._next(r, float(ts[-1]), ys[-1], int(self.k[r]) + n)
+
+    def _keep(self, lane: int, ts: np.ndarray, ys: np.ndarray) -> None:
+        if self.samples:
+            times, states = self.pieces[lane]
+            times.append(ts.copy())
+            states.append(ys.copy())
+
+    def _stop(self, r: int, terminal: EquilibriumPoint | None, diverged: bool) -> None:
+        lane = self.lane[r]
+        times, states = self.pieces[lane]
+        self.out[lane] = Trajectory(np.concatenate(times), np.concatenate(states), terminal,
+                                    diverged)
 
 
 def integrate(
@@ -219,73 +396,20 @@ def integrate(
     """Integrate the truncated field from ``y0``, sampling every ``dt``.
 
     The integrator is the adaptive embedded 4(5) Runge-Kutta pair
-    (Dormand-Prince) of scipy's RK45 with local tolerance ~1e-10, stepped in
-    ``_rk45``, restarted from the last sample of each chunk of at most 50
-    time units.
+    (Dormand-Prince) of scipy's RK45 with local tolerance ~1e-10, stepped as
+    the one lane of a ``_Lanes``, restarted from the last sample of each
+    chunk of at most 50 time units.
     Sample k sits at ``k*dt``; ``t_end`` is the last sample when it is off
     that grid.  Integration stops at the first sample whose norm exceeds
     ``DEFAULT_BLOWUP`` (divergent) or that is inside the capture radius of a
     known equilibrium with residual speed below tolerance, blow-up first.
-    Each chunk is scanned as arrays: bounds that every stopping sample meets
-    pick the candidates, and only those get the exact tests, in sample order.
     When the step size collapses with the last accepted state beyond ten
     amplitude scales (finite-time blow-up), the samples reached so far are
     returned as divergent.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (2,) or not np.isfinite(y0).all():
-        raise ValueError(f"y0 must be a finite point (y1, y2), got {y0!r}")
     if equilibria_list is None:
         equilibria_list = equilibria(rc)
-    radius = _capture_radius(rc)
-    eq_y = np.array([e.y for e in equilibria_list], dtype=float).reshape(-1, 2)
-
-    times, states = [np.zeros(1)], [y0[None, :]]
-    diverged = False
-    terminal: EquilibriumPoint | None = None
-
-    # chunked adaptive integration so capture/blow-up checks stay cheap;
-    # samples on the k*dt grid add no drift at restarts, whatever dt is
-    chunk = max(dt, min(t_end / 20.0, 50.0))
-    t, k = 0.0, 0
-    y = tuple(y0.tolist())
-    while t_end - t > 1e-9 * dt:
-        t1 = min(t + chunk, t_end)
-        t_eval = dt * np.arange(k + 1, t1 / dt + 1)
-        t_eval = t_eval[t_eval <= t1]
-        if len(t_eval) == 0:
-            t_eval = np.array([t1])
-        ts, ys, success, y_last = _rk45(rc, t, t1, y, t_eval)
-        if not success:
-            # step collapse in a polynomial field means finite-time blow-up;
-            # anything else is a real failure worth surfacing
-            if np.linalg.norm(y_last) > 10.0 * _amplitude_scale(rc):
-                times.append(ts)
-                states.append(ys)
-                diverged = True
-                break
-            raise RuntimeError(f"planar integration failed: {_TOO_SMALL_STEP}")
-        # norm > DEFAULT_BLOWUP implies max|y_i| > DEFAULT_BLOWUP/sqrt(2), and
-        # a Euclidean distance <= radius implies a Chebyshev one <= radius
-        big = np.abs(ys).max(axis=1) > DEFAULT_BLOWUP / 2
-        near = (np.abs(ys[:, None, :] - eq_y[None, :, :]).max(axis=2) <= radius).any(axis=1)
-        n = len(ts)
-        for i in np.flatnonzero(big | near):
-            if np.linalg.norm(ys[i]) > DEFAULT_BLOWUP:
-                diverged = True
-            else:
-                terminal = _match_equilibrium(ys[i], rc, equilibria_list, radius)
-            if diverged or terminal is not None:
-                n = i + 1
-                break
-        times.append(ts[:n])
-        states.append(ys[:n])
-        if diverged or terminal is not None:
-            break
-        t, y, k = float(ts[n - 1]), tuple(ys[n - 1].tolist()), k + n
-    return Trajectory(np.concatenate(times), np.concatenate(states), terminal, diverged)
+    return _Lanes(rc, [y0], dt, t_end, [equilibria_list]).run()[0]
 
 
 def basin_survey(
@@ -300,25 +424,14 @@ def basin_survey(
 
     Rays are equispaced starting at angle 0, so rays along the invariant axes
     are included exactly when n_rays is a multiple of 4.  Results are keyed by
-    angle and filled in ray order, so surveys are deterministic.  The rays are
-    integrated on the usable CPUs.
+    angle and filled in ray order, so surveys are deterministic.  The rays
+    are the lanes of one ``_Lanes``.
     """
     eq_list = equilibria(rc)
     thetas = [2.0 * math.pi * j / n_rays for j in range(n_rays)]
-
-    def ray(theta):
-        y0 = (radius * math.cos(theta), radius * math.sin(theta))
-        traj = integrate(rc, y0, dt, t_end, equilibria_list=eq_list)
-        return _index_of(traj.terminal_equilibrium, eq_list)
-
-    ends = map_in_order(ray, thetas)
-    return {theta: None if i is None else eq_list[i] for theta, i in zip(thetas, ends)}
-
-
-def _index_of(e: EquilibriumPoint | None, eq_list: list[EquilibriumPoint]) -> int | None:
-    """Position of ``e`` in ``eq_list`` by identity: what a worker sends back
-    in place of its own copy of the point."""
-    return None if e is None else next(i for i, q in enumerate(eq_list) if q is e)
+    starts = [(radius * math.cos(theta), radius * math.sin(theta)) for theta in thetas]
+    trajs = _Lanes(rc, starts, dt, t_end, [eq_list] * n_rays, samples=False).run()
+    return {theta: traj.terminal_equilibrium for theta, traj in zip(thetas, trajs)}
 
 
 @dataclass
@@ -338,8 +451,9 @@ def attractor_graph(rc: ReducedCoefficients) -> AttractorDescriptor:
     ``is_circle`` is set when the eight nontrivial equilibria alternate
     saddle/sink around the origin and every saddle connects to its two
     angular neighbors, which is the finite-graph content of a circle
-    attractor.  The shots are integrated on the usable CPUs; connections and
-    notes are listed in saddle order, as if shot one after another.
+    attractor.  The shots are the lanes of one ``_Lanes``, each with every
+    equilibrium but its own saddle as targets, so that no shot stops where it
+    starts; connections and notes are listed in saddle order.
     """
     eq_list = equilibria(rc)
     nontrivial = [e for e in eq_list if e.pattern_class != "trivial"]
@@ -361,23 +475,20 @@ def attractor_graph(rc: ReducedCoefficients) -> AttractorDescriptor:
         for sgn in (+1.0, -1.0):
             plan.append((i, sgn, np.array(e.y) + sgn * SHOOT_OFFSET * v))
 
-    def shoot(shot):
-        i, _sgn, y0 = shot
-        targets = [q for q in eq_list if q is not eq_list[i]]  # a shoot must leave its source
-        traj = integrate(rc, y0, 1.0, SHOOT_T_END, equilibria_list=targets)
-        return _index_of(traj.terminal_equilibrium, eq_list)
-
-    ends = iter(map_in_order(shoot, [s for s in plan if not isinstance(s, str)]))
+    shots = [s for s in plan if not isinstance(s, str)]
+    starts = [y0 for _i, _sgn, y0 in shots]
+    targets = [[q for q in eq_list if q is not eq_list[i]] for i, _sgn, _y0 in shots]
+    trajs = iter(_Lanes(rc, starts, 1.0, SHOOT_T_END, targets, samples=False).run())
     for step in plan:
         if isinstance(step, str):
             notes.append(step)
             continue
         i, sgn, _y0 = step
-        j = next(ends)
-        if j is None or eq_list[j].pattern_class == "trivial":
+        end = next(trajs).terminal_equilibrium
+        if end is None or end.pattern_class == "trivial":
             notes.append(f"unstable manifold of {eq_list[i].y} (sign {sgn:+.0f}) unresolved")
             continue
-        connections.append((i, j))
+        connections.append((i, next(j for j, q in enumerate(eq_list) if q is end)))
 
     is_circle = _is_alternating_ring(eq_list, nontrivial, connections, notes)
     return AttractorDescriptor(eq_list, connections, is_circle, notes)

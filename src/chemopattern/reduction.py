@@ -38,7 +38,7 @@ from .core import DomainGeometry, ModeIndex, ModelParams, rho, sigma
 CONVENTIONS = ("formula", "paper")
 
 #: Equilibria are accepted only if the vector field residual is below this,
-#: relative to the coefficient scale.
+#: relative to the size of the field's terms at the point.
 RESIDUAL_RTOL = 1e-10
 
 #: |a_q| below this (times the coefficient scale) counts as a_q = 0, where
@@ -253,12 +253,19 @@ def slaved_modes(y1: float, y2: float, rc: ReducedCoefficients) -> dict[ModeInde
 def reduced_vector_field(y, rc: ReducedCoefficients):
     """Right-hand side of the truncated planar system at ``y = (y1, y2)``."""
     y1, y2 = y
+    return np.array(_field_from_powers(y1, y2, y1**2, y1**3, y2**2, y2**3, rc))
+
+
+def _field_from_powers(y1, y2, y1_sq, y1_cu, y2_sq, y2_cu, rc: ReducedCoefficients):
+    """The two components of the planar field, given the coordinates and
+    their squares and cubes: the one expression of the field, for the
+    callers that form the powers themselves."""
     f1 = (rc.sigma1 * y1 + 4.0 * rc.frak_a * y1 * y2
-          + 0.25 * (rc.frak_b1 + 2.0 * rc.frak_b2) * y1**3
-          + 2.0 * rc.frak_b2 * y1 * y2**2)
-    f2 = (rc.sigma2 * y2 + rc.frak_a * y1**2
-          + rc.frak_b1 * y2**3 + rc.frak_b2 * y2 * y1**2)
-    return np.array([f1, f2])
+          + 0.25 * (rc.frak_b1 + 2.0 * rc.frak_b2) * y1_cu
+          + 2.0 * rc.frak_b2 * y1 * y2_sq)
+    f2 = (rc.sigma2 * y2 + rc.frak_a * y1_sq
+          + rc.frak_b1 * y2_cu + rc.frak_b2 * y2 * y1_sq)
+    return f1, f2
 
 
 def vector_field_jacobian(y, rc: ReducedCoefficients) -> np.ndarray:
@@ -298,11 +305,20 @@ def classify_equilibrium(y, rc: ReducedCoefficients) -> EquilibriumPoint:
     """Classify a stationary point by its analytic Jacobian.
 
     The input must already be an equilibrium: the field residual is checked
-    against ``RESIDUAL_RTOL`` times the coefficient scale.
+    against ``RESIDUAL_RTOL`` times the norm of the field's term magnitudes
+    at the point, which is what rounding leaves of a sum that cancels.  A
+    gate on the coefficient scale alone would pass any point near the
+    origin at sigma ~ 0, where every term is small.
     """
     y1, y2 = float(y[0]), float(y[1])
     res = np.linalg.norm(reduced_vector_field((y1, y2), rc))
-    if res > RESIDUAL_RTOL * max(rc.scale, 1.0):
+    a1, a2 = abs(y1), abs(y2)
+    size = math.hypot(
+        abs(rc.sigma1) * a1 + 4.0 * abs(rc.frak_a) * a1 * a2
+        + 0.25 * abs(rc.frak_b1 + 2.0 * rc.frak_b2) * a1**3 + 2.0 * abs(rc.frak_b2) * a1 * a2**2,
+        abs(rc.sigma2) * a2 + abs(rc.frak_a) * a1**2
+        + abs(rc.frak_b1) * a2**3 + abs(rc.frak_b2) * a2 * a1**2)
+    if res > RESIDUAL_RTOL * size:
         raise ValueError(f"point {(y1, y2)} is not an equilibrium (residual {res:.3e})")
     J = vector_field_jacobian((y1, y2), rc)
     eigs = np.linalg.eigvals(J)

@@ -90,12 +90,6 @@ class SpectralField:
         """Amplitude of mode ``k`` (the normalized projection on e_k)."""
         return float(self.coeffs[k])
 
-    def l2_norm(self) -> float:
-        """Domain-averaged L2 norm, sqrt(<u^2>/|Omega|), computed spectrally."""
-        w1 = np.where(np.arange(self.shape[0]) == 0, 1.0, 0.5)[:, None]
-        w2 = np.where(np.arange(self.shape[1]) == 0, 1.0, 0.5)[None, :]
-        return float(np.sqrt(np.sum(w1 * w2 * self.coeffs**2)))
-
 
 @dataclass
 class GridField:

@@ -43,6 +43,16 @@ def grad_dot(ka, kb, g, x, y) -> np.ndarray:
     return np.outer(sxa * sxb, cya * cyb) + np.outer(cxa * cxb, sya * syb)
 
 
+def l2_norm(field) -> float:
+    """Domain-averaged L2 norm sqrt(<u^2>/|Omega|) of a ``SpectralField``,
+    from its coefficients by Parseval: each cosine factor other than the
+    constant one averages to 1/2 in square."""
+    c = field.coeffs
+    w1 = np.where(np.arange(c.shape[0]) == 0, 1.0, 0.5)[:, None]
+    w2 = np.where(np.arange(c.shape[1]) == 0, 1.0, 0.5)[None, :]
+    return float(np.sqrt(np.sum(w1 * w2 * c**2)))
+
+
 def trapezoid_grid(g: DomainGeometry, n: int = 512):
     """Closed trapezoid nodes with n panels per axis."""
     x = np.linspace(0.0, g.ell1, n + 1)

@@ -295,6 +295,19 @@ class TestImportGraph:
         assert (tmp_path / "o" / "reduce_coefficients.tsv").exists()
         assert not {"scipy", "scipy.fft", "scipy.integrate"} & set(loaded), loaded
 
+    def test_ode_and_verify_theorem2_load_no_scipy(self, tmp_path):
+        # every trajectory, survey and ring of these kinds is stepped in-package
+        write(tmp_path / "ode.cfg", "[experiment]\nkind = ode\n[model]\nlambda_factor = 1.02\n"
+              "[ode]\nt_end = 300\nn_rays = 16\n")
+        write(tmp_path / "v2.cfg", "[experiment]\nkind = verify-theorem2\n")
+        loaded = self.run_fresh(
+            "assert cli.main(['ode', '--config', 'ode.cfg', '--out', 'o']) == 0\n"
+            "assert cli.main(['verify-theorem2', '--config', 'v2.cfg', '--out', 'v']) == 1",
+            tmp_path)
+        assert (tmp_path / "o" / "ode_attractor.tsv").read_text().startswith("is_circle\ttrue")
+        assert (tmp_path / "v" / "verify_theorem2_report.tsv").exists()
+        assert not {"scipy", "scipy.fft", "scipy.integrate"} & set(loaded), loaded
+
     def test_simulate_loads_scipy_fft_for_its_snapshot(self, tmp_path):
         cfg = write(tmp_path / "sim.cfg", SIM_CFG.replace("t_end = 40", "t_end = 2"))
         loaded = self.run_fresh("assert cli.main(['simulate', '--config', 'sim.cfg', "

@@ -70,18 +70,17 @@ class TestMapInOrder:
                                                           for x in range(4)]
         assert all(len({pid for _v, pid in row}) == 1 for row in out)
 
-    def test_worker_error_surfaces(self, monkeypatch, rc_super):
+    def test_worker_error_surfaces(self, monkeypatch):
         set_workers(monkeypatch, 2)
-        parent, real = os.getpid(), planar.integrate
+        parent = os.getpid()
 
-        def failing(*args, **kwargs):
+        def failing(x):
             if os.getpid() != parent:
                 raise RuntimeError("planar integration failed: in a worker")
-            return real(*args, **kwargs)
+            return x
 
-        monkeypatch.setattr(planar, "integrate", failing)
         with pytest.raises(RuntimeError, match="in a worker"):
-            basin_survey(rc_super, 0.01, 4, t_end=100.0)
+            map_in_order(failing, range(4))
 
 
 class TestPlanarCallers:
@@ -95,14 +94,15 @@ class TestPlanarCallers:
     @pytest.mark.parametrize("short_shots", [False, True])
     def test_attractor_graph(self, monkeypatch, rc_super, short_shots):
         if short_shots:
-            # shots leaving towards negative y1 stop after one time unit,
+            # shots leaving towards negative y1 have no targets and end
             # unresolved, so notes and connections interleave
-            real = planar.integrate
+            real = planar._Lanes
 
-            def short(rc, y0, dt, t_end, equilibria_list=None):
-                return real(rc, y0, dt, 1.0 if y0[0] < 0 else t_end, equilibria_list)
+            def short(rc, starts, dt, t_end, targets, samples):
+                return real(rc, starts, dt, t_end,
+                            [[] if y0[0] < 0 else q for y0, q in zip(starts, targets)], samples)
 
-            monkeypatch.setattr(planar, "integrate", short)
+            monkeypatch.setattr(planar, "_Lanes", short)
         one, two = on_each(monkeypatch, lambda: attractor_graph(rc_super))
         assert (one.connections, one.notes, one.is_circle) \
             == (two.connections, two.notes, two.is_circle)

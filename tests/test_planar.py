@@ -18,7 +18,7 @@ from chemopattern import (
 )
 from chemopattern import planar
 from chemopattern.core import DomainGeometry
-from chemopattern.planar import SHOOT_OFFSET, SHOOT_T_END, Trajectory
+from chemopattern.planar import DEFAULT_BLOWUP, SHOOT_OFFSET, SHOOT_T_END, Trajectory
 from chemopattern.reduction import _amplitude_scale, vector_field_jacobian
 
 from oracles import integrate_by_sample, rk45_by_scipy
@@ -233,13 +233,48 @@ class TestMonotoneCapture:
             assert np.all(d[inside[0]:] <= 0.1 * A * 1.05)
 
 
+def mixed_batch(rc_super):
+    """One batch of lanes that end every way a lane can, on a coefficient set
+    with a saturating roll axis and a slowly unbounded rectangle direction:
+    eight basin rays (the two on the roll axis are captured by the rolls,
+    the rest diverge, across the norm bound at a sample or by step
+    collapse), a shot from a roll along its unstable direction with every
+    other equilibrium as targets, a start far out that collapses before its
+    first sample, and the fixed origin.  Returns ``(rc, starts, targets)``."""
+    rc = rc_super.with_cubic_override(-3.0, 1.5 + 1e-8)
+    eqs = equilibria(rc)
+    roll = next(e for e in eqs if e.pattern_class == "roll")
+    rays = [(0.01 * math.cos(2.0 * math.pi * j / 8), 0.01 * math.sin(2.0 * math.pi * j / 8))
+            for j in range(8)]
+    starts = rays + [np.array(roll.y) + (SHOOT_OFFSET, 0.0), (1e5, 0.0), (0.0, 0.0)]
+    targets = [eqs] * 8 + [[e for e in eqs if e is not roll], eqs, eqs]
+    return rc, starts, targets
+
+
+def saddle_shots(rc):
+    """The two shots along the unstable direction of the first hexagon
+    saddle, and every other equilibrium as their targets."""
+    eqs = equilibria(rc)
+    saddle = next(e for e in eqs if e.pattern_class == "hexagon")
+    eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(saddle.y, rc))
+    v = eigvecs[:, int(np.argmax(eigvals.real))].real
+    starts = [np.array(saddle.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
+              for sgn in (1.0, -1.0)]
+    return starts, [e for e in eqs if e is not saddle]
+
+
+def basin_rays(n: int) -> list[tuple[float, float]]:
+    return [(0.01 * math.cos(2.0 * math.pi * j / n), 0.01 * math.sin(2.0 * math.pi * j / n))
+            for j in range(n)]
+
+
 class TestScanOracle:
     """``integrate`` scans each chunk as arrays; the per-sample reference
-    with the same ``solve_ivp`` calls must give the same bytes."""
+    with the same ``solve_ivp`` calls must give the same bytes, for a lane
+    alone and for every lane of a batch."""
 
     @staticmethod
-    def assert_same(rc, y0, dt, t_end, equilibria_list=None):
-        traj = integrate(rc, y0, dt, t_end, equilibria_list=equilibria_list)
+    def assert_same(traj, rc, y0, dt, t_end, equilibria_list=None):
         times, states, terminal, diverged = integrate_by_sample(rc, y0, dt, t_end, equilibria_list)
         assert traj.times.tobytes() == times.tobytes()
         assert traj.states.tobytes() == states.tobytes()
@@ -251,73 +286,99 @@ class TestScanOracle:
             assert np.array(traj.terminal_equilibrium.y).tobytes() == np.array(terminal.y).tobytes()
         return traj
 
+    def assert_batch(self, rc, starts, dt, t_end, targets):
+        trajs = planar._Lanes(rc, starts, dt, t_end, targets).run()
+        assert len(trajs) == len(starts)
+        return [self.assert_same(traj, rc, y0, dt, t_end, eqs)
+                for traj, y0, eqs in zip(trajs, starts, targets)]
+
     @pytest.mark.parametrize("dt", [1.0, 0.25])
     def test_basin_rays(self, rc_super, dt):
         eqs = equilibria(rc_super)
-        for j in range(16):
-            theta = 2.0 * math.pi * j / 16
-            traj = self.assert_same(rc_super, (0.01 * math.cos(theta), 0.01 * math.sin(theta)),
-                                    dt, 4000.0, eqs)
+        for traj in self.assert_batch(rc_super, basin_rays(16), dt, 4000.0, [eqs] * 16):
             assert traj.terminal_equilibrium is not None
 
     def test_saddle_shot_with_custom_targets(self, rc_super):
-        eqs = equilibria(rc_super)
-        saddle = next(e for e in eqs if e.pattern_class == "hexagon")
-        eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(saddle.y, rc_super))
-        v = eigvecs[:, int(np.argmax(eigvals.real))].real
-        targets = [e for e in eqs if e is not saddle]
-        for sgn in (1.0, -1.0):
-            y0 = np.array(saddle.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
-            traj = self.assert_same(rc_super, y0, 1.0, SHOOT_T_END, targets)
+        starts, targets = saddle_shots(rc_super)
+        for traj in self.assert_batch(rc_super, starts, 1.0, SHOOT_T_END, [targets] * 2):
             assert traj.terminal_equilibrium.pattern_class in ("roll", "rectangle")
 
+    def test_mixed_batch(self, rc_super):
+        rc, starts, targets = mixed_batch(rc_super)
+        trajs = planar._Lanes(rc, starts, 1.0, 2000.0, targets).run()
+        ends = [None if t.terminal_equilibrium is None else t.terminal_equilibrium.pattern_class
+                for t in trajs]
+        assert ends == [None, None, "roll", None, None, None, "roll", None, None, None, "trivial"]
+        assert all(t.diverged for t, e in zip(trajs, ends) if e is None)
+        assert np.linalg.norm(trajs[0].states[-1]) > DEFAULT_BLOWUP  # across the bound at a sample
+        assert len(trajs[9].times) == 1  # collapsed before its first sample
+        # the reference judges a step collapse by the last sample, not by the
+        # solver's last state, and fails where that sample is small or there
+        # is none: TestSolverOracle checks the lanes that collapsed so
+        between = [j for j, t in enumerate(trajs) if len(t.times) == 1 or (
+            t.diverged and np.linalg.norm(t.states[-1]) <= 10.0 * _amplitude_scale(rc))]
+        assert between == [1, 3, 5, 7, 9]
+        for j, (traj, y0, eqs) in enumerate(zip(trajs, starts, targets)):
+            if j not in between:
+                self.assert_same(traj, rc, y0, 1.0, 2000.0, eqs)
+
     def test_fixed_origin(self, rc_super):
-        traj = self.assert_same(rc_super, (0.0, 0.0), 1.0, 20.0)
+        traj = self.assert_same(integrate(rc_super, (0.0, 0.0), 1.0, 20.0), rc_super, (0.0, 0.0),
+                                1.0, 20.0)
         assert traj.terminal_equilibrium.pattern_class == "trivial"
 
     def test_subcritical_decay(self, bench):
         rc = replace(bench[3], sigma1=-0.2, sigma2=-0.2)
-        traj = self.assert_same(rc, (1e-3, -2e-3), 1.0, 2000.0)
+        traj = self.assert_same(integrate(rc, (1e-3, -2e-3), 1.0, 2000.0), rc, (1e-3, -2e-3),
+                                1.0, 2000.0)
         assert traj.terminal_equilibrium.pattern_class == "trivial"
 
     def test_norm_bound_crossed_at_a_sample(self, rc_super):
         # weak positive cubics let the growth cross DEFAULT_BLOWUP smoothly
-        traj = self.assert_same(rc_super.with_cubic_override(1e-10, 1e-10), (0.01, 0.01), 1.0, 1000.0)
+        rc = rc_super.with_cubic_override(1e-10, 1e-10)
+        traj = self.assert_same(integrate(rc, (0.01, 0.01), 1.0, 1000.0), rc, (0.01, 0.01),
+                                1.0, 1000.0)
         assert traj.diverged and np.linalg.norm(traj.states[-1]) > 1e3
 
     def test_divergence(self, rc_super):
-        traj = self.assert_same(rc_super.with_cubic_override(5.0, 5.0), (0.5, 0.5), 0.05, 100.0)
+        rc = rc_super.with_cubic_override(5.0, 5.0)
+        traj = self.assert_same(integrate(rc, (0.5, 0.5), 0.05, 100.0), rc, (0.5, 0.5), 0.05, 100.0)
         assert traj.diverged
 
 
 class TestSolverOracle:
-    """``_rk45`` takes scipy's RK45 steps in-package; every solver call of an
-    ``integrate`` must give ``solve_ivp``'s bytes with as many field
-    evaluations."""
+    """``_Lanes`` takes scipy's RK45 steps in-package; every chunk of every
+    lane must give ``solve_ivp``'s bytes with as many field evaluations."""
 
     @staticmethod
-    def solver_calls(monkeypatch, rc, y0, dt, t_end, equilibria_list=None):
-        """Run ``integrate`` and return each ``_rk45`` call's arguments,
-        result and number of field evaluations."""
-        calls, count = [], [0]
-        field, rk45 = planar.reduced_vector_field, planar._rk45
+    def chunks(monkeypatch, run):
+        """Call ``run()`` and return every finished chunk of every lane:
+        ``((rc, t0, t1, y0, t_eval), (times, states, success, y_last),
+        field evaluations)``.  The field evaluations of all chunks must add
+        up to the lanes the field was evaluated on."""
+        chunks, lanes_evaluated = [], [0]
+        field, end_chunk = planar._lane_field, planar._Lanes._end_chunk
 
-        def counting_field(y, rc_):
-            count[0] += 1
-            return field(y, rc_)
+        def counting_field(y, rc, out):
+            lanes_evaluated[0] += len(y)
+            field(y, rc, out)
 
-        def recording_rk45(rc_, t0, t1, y, t_eval):
-            before = count[0]
-            out = rk45(rc_, t0, t1, y, t_eval)
-            calls.append(((rc_, t0, t1, y, t_eval.copy()), out, count[0] - before))
-            return out
+        def recording_end_chunk(lanes, r, success):
+            n, te = lanes.i[r], lanes.te[r]
+            chunks.append((
+                (lanes.rc, float(lanes.t0[r]), float(lanes.t1[r]), lanes.y0[r].copy(),
+                 te[np.isfinite(te)].copy()),
+                (te[:n].copy(), lanes.ys[r, :n].copy(), success, lanes.y[r].copy()),
+                int(lanes.nfev[r])))
+            return end_chunk(lanes, r, success)
 
-        monkeypatch.setattr(planar, "reduced_vector_field", counting_field)
-        monkeypatch.setattr(planar, "_rk45", recording_rk45)
-        integrate(rc, y0, dt, t_end, equilibria_list=equilibria_list)
+        monkeypatch.setattr(planar, "_lane_field", counting_field)
+        monkeypatch.setattr(planar._Lanes, "_end_chunk", recording_end_chunk)
+        run()
         monkeypatch.undo()
-        assert calls
-        return calls
+        assert chunks
+        assert sum(n_field for _args, _out, n_field in chunks) == lanes_evaluated[0]
+        return chunks
 
     @staticmethod
     def assert_same(args, out, n_field):
@@ -327,41 +388,111 @@ class TestSolverOracle:
         assert states.shape == ref_states.shape
         assert states.tobytes() == ref_states.tobytes()
         assert success is ref_success
-        assert np.array(y_last).tobytes() == ref_last.tobytes()
+        assert y_last.tobytes() == ref_last.tobytes()
         assert n_field == nfev
 
     @pytest.mark.parametrize("dt", [1.0, 0.25])
     def test_basin_rays(self, monkeypatch, rc_super, dt):
-        eqs = equilibria(rc_super)
-        for j in range(16):
-            theta = 2.0 * math.pi * j / 16
-            y0 = (0.01 * math.cos(theta), 0.01 * math.sin(theta))
-            for call in self.solver_calls(monkeypatch, rc_super, y0, dt, 4000.0, eqs):
-                self.assert_same(*call)
+        # 16 rays take the array field until fewer than _FEW_LANES are left
+        for chunk in self.chunks(monkeypatch, lambda: basin_survey(rc_super, 0.01, 16, 4000.0, dt)):
+            self.assert_same(*chunk)
 
     def test_saddle_shots(self, monkeypatch, rc_super):
-        eqs = equilibria(rc_super)
-        saddle = next(e for e in eqs if e.pattern_class == "hexagon")
-        eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(saddle.y, rc_super))
-        v = eigvecs[:, int(np.argmax(eigvals.real))].real
-        targets = [e for e in eqs if e is not saddle]
-        for sgn in (1.0, -1.0):
-            y0 = np.array(saddle.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
-            for call in self.solver_calls(monkeypatch, rc_super, y0, 1.0, SHOOT_T_END, targets):
-                self.assert_same(*call)
+        starts, targets = saddle_shots(rc_super)
+        run = planar._Lanes(rc_super, starts, 1.0, SHOOT_T_END, [targets] * 2).run
+        for chunk in self.chunks(monkeypatch, run):
+            self.assert_same(*chunk)
+
+    def test_attractor_graph(self, monkeypatch, rc_super):
+        for chunk in self.chunks(monkeypatch, lambda: attractor_graph(rc_super)):
+            self.assert_same(*chunk)
+
+    def test_mixed_batch(self, monkeypatch, rc_super):
+        rc, starts, targets = mixed_batch(rc_super)
+        run = planar._Lanes(rc, starts, 1.0, 2000.0, targets).run
+        chunks = self.chunks(monkeypatch, run)
+        assert sum(out[2] is False for _args, out, _n in chunks) == 7
+        for chunk in chunks:
+            self.assert_same(*chunk)
 
     def test_single_sample_chunk(self, monkeypatch, rc_super):
         # t_end below dt: the one chunk samples only t_end
-        calls = self.solver_calls(monkeypatch, rc_super, (1e-3, 2e-3), 1.0, 0.5)
-        assert len(calls) == 1 and calls[0][0][4].tolist() == [0.5]
-        self.assert_same(*calls[0])
+        chunks = self.chunks(monkeypatch, lambda: integrate(rc_super, (1e-3, 2e-3), 1.0, 0.5))
+        assert len(chunks) == 1 and chunks[0][0][4].tolist() == [0.5]
+        self.assert_same(*chunks[0])
 
     @pytest.mark.parametrize("dt", [0.05, 1.0])
     def test_step_collapse(self, monkeypatch, dt):
-        calls = self.solver_calls(monkeypatch, positive_cubic_rectangle(), (0.5, 0.5), dt, 100.0)
-        assert calls[-1][1][2] is False
-        for call in calls:
-            self.assert_same(*call)
+        chunks = self.chunks(monkeypatch,
+                             lambda: integrate(positive_cubic_rectangle(), (0.5, 0.5), dt, 100.0))
+        assert chunks[-1][1][2] is False
+        for chunk in chunks:
+            self.assert_same(*chunk)
+
+
+class TestBatchEqualsLanesAlone:
+    """A lane's bytes do not depend on the lanes stepped beside it: a batch,
+    the survey and the graph give what ``integrate`` gives lane by lane."""
+
+    def test_mixed_batch(self, rc_super):
+        rc, starts, targets = mixed_batch(rc_super)
+        trajs = planar._Lanes(rc, starts, 1.0, 2000.0, targets).run()
+        for traj, y0, eqs in zip(trajs, starts, targets):
+            alone = integrate(rc, y0, 1.0, 2000.0, equilibria_list=eqs)
+            assert traj.times.tobytes() == alone.times.tobytes()
+            assert traj.states.tobytes() == alone.states.tobytes()
+            assert traj.terminal_equilibrium is alone.terminal_equilibrium
+            assert traj.diverged is alone.diverged
+
+    @pytest.mark.parametrize("n_rays", [16, 5])
+    def test_basin_survey(self, rc_super, n_rays):
+        eqs = equilibria(rc_super)
+        survey = basin_survey(rc_super, radius=0.01, n_rays=n_rays, t_end=4000.0)
+        assert list(survey) == [2.0 * math.pi * j / n_rays for j in range(n_rays)]
+        for e, y0 in zip(survey.values(), basin_rays(n_rays)):
+            alone = integrate(rc_super, y0, 1.0, 4000.0, equilibria_list=eqs).terminal_equilibrium
+            assert np.array(e.y).tobytes() == np.array(alone.y).tobytes()
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_attractor_graph(self, rc_super, flip):
+        rc = rc_super.with_cubic_override(-3.0, -0.2) if flip else rc_super
+        desc = attractor_graph(rc)
+        eqs, connections = desc.equilibria, []
+        for i, e in enumerate(eqs):
+            if e.pattern_class == "trivial" or e.stability != "saddle":
+                continue
+            eigvals, eigvecs = np.linalg.eig(vector_field_jacobian(e.y, rc))
+            v = eigvecs[:, int(np.argmax(eigvals.real))].real
+            for sgn in (1.0, -1.0):
+                y0 = np.array(e.y) + sgn * SHOOT_OFFSET * v / np.linalg.norm(v)
+                end = integrate(rc, y0, 1.0, SHOOT_T_END,
+                                equilibria_list=[q for q in eqs if q is not e]).terminal_equilibrium
+                connections.append((i, next(j for j, q in enumerate(eqs) if q is end)))
+        assert desc.connections == connections
+        assert desc.is_circle and not desc.notes
+
+
+class TestLaneField:
+    """The lanes' field is ``reduced_vector_field`` point by point, to the
+    bit, on any number of lanes: its squares and cubes are ``pow``'s, which
+    numpy's array power does not always give (with SIMD power kernels about
+    3% of cubes differ in the last bit)."""
+
+    def test_equals_pointwise_field(self, rc_super):
+        rng = np.random.default_rng(18)
+        y = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-4, 1, size=(2000, 1))
+        ref = np.array([reduced_vector_field(p, rc_super) for p in y])
+        powers = np.array([[pow(a, 2), pow(b, 2), pow(a, 3), pow(b, 3)] for a, b in y.tolist()])
+        differs = (np.hstack([y ** 2, y ** 3]) != powers).any(axis=1)
+        subsets = [y, y[:planar._FEW_LANES], y[:planar._FEW_LANES - 1], y[:1]]
+        refs = [ref, ref[:planar._FEW_LANES], ref[:planar._FEW_LANES - 1], ref[:1]]
+        if differs.any():
+            subsets.append(y[differs])
+            refs.append(ref[differs])
+        for rows, want in zip(subsets, refs):
+            out = np.empty_like(rows)
+            planar._lane_field(rows, rc_super, out)
+            assert out.tobytes() == want.tobytes()
 
 
 class TestTableau:
@@ -380,11 +511,17 @@ class TestTableau:
 
     def test_step_collapse_message(self, monkeypatch, rc_super):
         # a collapse near the origin is no blow-up: integrate raises with
-        # scipy's own message
-        def collapsing(rc, t0, t1, y0, t_eval):
-            return np.empty(0), np.empty((0, 2)), False, np.array(y0)
+        # scipy's own message.  A field that turns nan after the initial
+        # step rejects every attempt until the step size collapses.
+        field, calls = planar._lane_field, [0]
 
-        monkeypatch.setattr(planar, "_rk45", collapsing)
+        def nan_after_start(y, rc, out):
+            calls[0] += 1
+            field(y, rc, out)
+            if calls[0] > 2:
+                out[:] = np.nan
+
+        monkeypatch.setattr(planar, "_lane_field", nan_after_start)
         with pytest.raises(RuntimeError) as info:
             integrate(rc_super, (1e-3, 2e-3), 1.0, 10.0)
         assert str(info.value) == f"planar integration failed: {RK45.TOO_SMALL_STEP}"

@@ -444,6 +444,22 @@ class TestClassifyEquilibrium:
         with pytest.raises(ValueError, match="not an equilibrium"):
             classify_equilibrium((0.05, 0.05), _supercritical(rc))
 
+    def test_gate_is_relative_to_the_terms(self):
+        # at sigma ~ 0 the field near the origin is O(a_q*|y|^2): points
+        # 1.5e-6 from the origin have residuals far under the coefficient
+        # scale although none of their terms cancel.  They are refused; the
+        # true equilibria pass
+        p = ModelParams(8.0, 1.0, 1.0)
+        g0 = make_critical_geometry(1, 1, p)
+        g = DomainGeometry(0.99 * g0.ell1, 0.99 * g0.ell2)
+        rc = cubic_coefficients(replace(p, lam=lambda_critical(p, g).lambda_c), g, 1, 1)
+        assert rc.sigma1 == 0.0 and abs(rc.sigma2) < 1e-15
+        for y in ((1.5e-6 / math.sqrt(2.0), 1.5e-6 / math.sqrt(2.0)), (0.0, 1.5e-6)):
+            assert np.linalg.norm(reduced_vector_field(y, rc)) <= RESIDUAL_RTOL * rc.scale
+            with pytest.raises(ValueError, match="not an equilibrium"):
+                classify_equilibrium(y, rc)
+        assert [e.pattern_class for e in equilibria(rc)] == ["trivial", "hexagon", "hexagon"]
+
     def test_determinant_sign_rules(self, bench):
         # rolls/rectangles: sgn(det J) = sgn(b1 - 2 b2); ratio-locked points:
         # the opposite sign -- for both coefficient conventions
