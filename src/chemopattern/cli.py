@@ -7,7 +7,8 @@ Subcommands mirror the experiment kinds: linear, reduce, ode, simulate,
 simulate-full, sweep, verify-theorem1, verify-theorem2.  The subcommand must
 match the ``kind`` in the configuration file; command-line flags override the
 corresponding configuration values.  The exit code is nonzero iff a
-verification suite reports an overall failure or the run crashes.
+verification suite reports an overall failure, a simulation blows up (one
+``error:`` line, exit 1), or the run crashes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config, serialize_config
 from .core import SearchBoundaryError
+from .simulator import BlowUpError
 from .verify import (
     run_linear,
     run_ode,
@@ -89,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         # a k_max too small for the geometry is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BlowUpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, path in paths.items():
         print(f"wrote {path}")
     return 0

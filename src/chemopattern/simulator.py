@@ -17,9 +17,8 @@ Two integrators live here, sharing the spatial machinery of
   rewritten through grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)]
   so that only cosine syntheses of the fields and their Laplacians are
   needed.  The syntheses of one right-hand side are one batched transform
-  of the staged fields, and its two analyses are another; both go through
-  the right-hand-side transforms of :mod:`chemopattern.transforms` (dense
-  cosine matrices on small grids).
+  of the staged fields, and its two analyses are another, each a product
+  with the dense cosine matrices of :mod:`chemopattern.transforms`.
 
 * :func:`simulate_full_system` evolves the two-field parent model
 
@@ -64,10 +63,9 @@ from .transforms import (
     NonFiniteError,
     SpectralField,
     coeffs_to_grid,
+    grid_to_coeffs,
     helmholtz_inverse,
     require_finite,
-    rhs_coeffs_to_grid,
-    rhs_grid_to_coeffs,
 )
 
 
@@ -216,11 +214,11 @@ class _RhsPlan:
 
     def synthesize(self) -> np.ndarray:
         """The staged fields on the padded grid (the ``grid`` workspace)."""
-        return rhs_coeffs_to_grid(self.stage, self.pad, self.grid, self.grid_rows)
+        return coeffs_to_grid(self.stage, self.pad, self.grid, self.grid_rows)
 
     def analyse(self) -> np.ndarray:
         """The two products, truncated to the base resolution."""
-        return rhs_grid_to_coeffs(self.prod, self.shape, self.prod_rows, self.coeffs)
+        return grid_to_coeffs(self.prod, self.shape, self.prod_rows, self.coeffs)
 
 
 class _ScalarRhs(_RhsPlan):

@@ -358,11 +358,15 @@ def integrate_by_sample(rc, y0, dt: float, t_end: float, equilibria_list=None):
                         method="RK45", rtol=1e-10, atol=1e-12, t_eval=t_eval,
                         dense_output=False)
         if not sol.success:
-            last = sol.y.T[-1] if sol.y.size else y
+            # judged by the solver's last accepted state, from a rerun
+            # without t_eval, which takes the same steps
+            last = solve_ivp(lambda _t, yy: reduced_vector_field(yy, rc), (t, t1), y,
+                             method="RK45", rtol=1e-10, atol=1e-12).y[:, -1]
             if np.linalg.norm(last) <= 10.0 * scale:
                 raise RuntimeError(f"planar integration failed: {sol.message}")
+            # sol.y is an empty list when the collapse came before a sample
             times.extend(float(tk) for tk in sol.t)
-            states.extend(yk.copy() for yk in sol.y.T)
+            states.extend(yk.copy() for yk in np.reshape(sol.y, (2, -1)).T)
             diverged = True
             break
         for tk, yk in zip(sol.t, sol.y.T):

@@ -151,6 +151,14 @@ class TestCliBasics:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k_max" in err
 
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "blow.cfg", f"[experiment]\nkind = {kind}\nseed = 3\n"
+                    "[model]\nlambda_factor = 3\n[simulation]\nn1 = 32\nn2 = 32\n"
+                    "dt = 0.5\nt_end = 40\nic_amplitude = 0.5\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: simulation blew up at t = 1\n"
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")
@@ -268,8 +276,8 @@ class TestVerifyCli:
 
 
 class TestImportGraph:
-    """The kinds without a simulation start without scipy; a simulation
-    loads ``scipy.fft`` at its first grid transform."""
+    """No kind loads scipy: the package needs only numpy and the standard
+    library at run time."""
 
     @staticmethod
     def run_fresh(code: str, tmp_path) -> list[str]:
@@ -308,11 +316,40 @@ class TestImportGraph:
         assert (tmp_path / "v" / "verify_theorem2_report.tsv").exists()
         assert not {"scipy", "scipy.fft", "scipy.integrate"} & set(loaded), loaded
 
-    def test_simulate_loads_scipy_fft_for_its_snapshot(self, tmp_path):
+    def test_simulations_and_sweep_load_no_scipy(self, tmp_path):
+        # grid snapshots go through the same dense transforms as the steps
         cfg = write(tmp_path / "sim.cfg", SIM_CFG.replace("t_end = 40", "t_end = 2"))
-        loaded = self.run_fresh("assert cli.main(['simulate', '--config', 'sim.cfg', "
-                                "'--out', 'fresh']) == 0", tmp_path)
-        assert "scipy.fft" in loaded and "scipy.integrate" not in loaded
+        write(tmp_path / "full.cfg", SIM_CFG.replace("t_end = 40", "t_end = 2")
+              .replace("kind = simulate", "kind = simulate-full"))
+        write(tmp_path / "sweep.cfg", "[experiment]\nkind = sweep\nseed = 5\n[sweep]\n"
+              "lambda_factors = 0.98;1.02\ngeometry_factors = 0.99;1.01\nt_end = 2\n")
+        loaded = self.run_fresh(
+            "assert cli.main(['simulate', '--config', 'sim.cfg', '--out', 'fresh']) == 0\n"
+            "assert cli.main(['simulate-full', '--config', 'full.cfg', '--out', 'full']) == 0\n"
+            "assert cli.main(['sweep', '--config', 'sweep.cfg', '--out', 'sweep']) == 0",
+            tmp_path)
+        assert loaded == []
+        assert (tmp_path / "full" / "snapshot_t0.txt").exists()
+        assert (tmp_path / "sweep" / "sweep_atlas.tsv").exists()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
         assert (tmp_path / "fresh" / "snapshot_t0.txt").read_bytes() \
             == (tmp_path / "here" / "snapshot_t0.txt").read_bytes()
+
+    def test_no_module_imports_scipy(self):
+        import ast
+        import pathlib
+
+        import chemopattern
+        paths = sorted(pathlib.Path(chemopattern.__file__).parent.glob("*.py"))
+        assert len(paths) > 10
+        found = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}: {m}" for m in names if m.split(".")[0] == "scipy"]
+        assert found == []

@@ -252,7 +252,7 @@ class TestStep:
 
 class TestFoldedNonlinearity:
     """Both models' right-hand sides against their unfolded form on plain
-    ``dct`` transforms, on padded grids on both sides of ``DENSE_MAX``.
+    ``dct`` transforms, on padded grids up to 256 points per axis.
 
     The exact multiplication of the analysed product by (lam/2)*rho_k (1/2*rho_k
     in the two-field model) amplifies its rounding in the high modes, where
@@ -498,8 +498,8 @@ class TestStepperContract:
     def test_one_synthesis_and_one_analysis_per_rhs_call(self, monkeypatch, run):
         counts, steps = self.count_calls(monkeypatch, run, [
             (_ScalarStepper, "_nonlinear", "rhs"), (_PairStepper, "_nonlinear", "rhs"),
-            (simulator, "rhs_coeffs_to_grid", "synthesis"),
-            (simulator, "rhs_grid_to_coeffs", "analysis")])
+            (simulator, "coeffs_to_grid", "synthesis"),
+            (simulator, "grid_to_coeffs", "analysis")])
         assert counts == {"rhs": 2 * steps, "synthesis": 2 * steps, "analysis": 2 * steps}
 
 

