@@ -343,7 +343,7 @@ def _nearest_amplitude_mismatch(y1: float, y2: float, eqs) -> tuple[float, str]:
 
 
 def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
-    """Invariant-branch saturation runs; returns [(sigma, amplitude)]."""
+    """Saturation runs on the invariant "roll" or "hexagon" branch: [(sigma, amplitude)]."""
     v = cfg.data["verify"]
     runs = []
     for sig in sigmas:
@@ -351,8 +351,6 @@ def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
         p = ModelParams(p_base.mu, p_base.alpha, lam)
         if branch == "roll":
             modes = (((0, 2 * n), 1e-3),)
-        elif branch == "rectangle":
-            modes = (((m, n), 1e-3),)
         else:
             modes = (((m, n), 2e-3), ((0, 2 * n), 1e-3))
         sim_cfg = SimConfig(

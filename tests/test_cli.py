@@ -159,6 +159,18 @@ class TestCliBasics:
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: simulation blew up at t = 1\n"
 
+    @pytest.mark.parametrize("kind, time", [("simulate", "1.5"), ("simulate-full", "2")])
+    def test_blow_up_between_records_prints_no_warnings(self, tmp_path, kind, time):
+        # the state overflows between two records; numpy's warnings on the
+        # way there would precede the one error line
+        cfg = write(tmp_path / "blow.cfg", f"[experiment]\nkind = {kind}\nseed = 3\n"
+                    "[model]\nlambda_factor = 3\n[simulation]\nn1 = 32\nn2 = 32\n"
+                    "dt = 0.5\nt_end = 40\nic_amplitude = 0.5\nrecord_interval = 2\n")
+        proc = subprocess.run(RUN + [kind, "--config", cfg, "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: simulation blew up at t = {time}\n"
+
     def test_convention_override(self, tmp_path):
         cfg = write(tmp_path / "red.cfg",
                     "[experiment]\nkind = reduce\n[model]\nlambda_factor = 1.02\n")

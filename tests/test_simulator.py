@@ -18,7 +18,7 @@ from chemopattern import (
     step,
 )
 from chemopattern.core import rho, rho_table, sigma
-from chemopattern.transforms import transform_inverse
+from chemopattern.transforms import helmholtz_inverse, transform_inverse
 from chemopattern import simulator
 from chemopattern.simulator import (
     BLOWUP_NORM,
@@ -36,6 +36,7 @@ from oracles import (
     nonlinear_by_quadrature,
     pair_nonlinear_by_dct,
     pair_nonlinear_by_quadrature,
+    scalar_midpoint_step,
 )
 
 P = ModelParams(8.0, 1.0, 18.0)
@@ -120,10 +121,10 @@ class TestNonlinearRhs:
             fields.append(SpectralField(c, G))
         pair = _PairStepper(sim_config())
         first = [nonlinear_rhs(u, P).coeffs for u in fields[:2]]
-        first += [pair._nonlinear(fields[0].coeffs, fields[1].coeffs)]
+        first += [pair._nonlinear(np.array([fields[0].coeffs, fields[1].coeffs]))]
         kept = [a.copy() for a in first]
         nonlinear_rhs(fields[2], P)
-        pair._nonlinear(fields[2].coeffs, fields[0].coeffs)
+        pair._nonlinear(np.array([fields[2].coeffs, fields[0].coeffs]))
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
 
@@ -188,6 +189,20 @@ class TestStep:
             assert order >= 1.8
         assert np.mean(orders) == pytest.approx(2.0, abs=0.2)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_scalar_bytes_match_the_midpoint_formula(self, n):
+        # the scalar stepper is the shared k-field scheme at k = 1; its bytes
+        # must stay those of the scalar formula
+        c = random_field(np.random.default_rng(33), (n, n), 0.1)
+        sig = sigma(rho_table(n, n, G), P)
+        stepper = _ScalarStepper((n, n), G, P, 0.05, True)
+        want, got = c, c[None]
+        for _ in range(20):
+            want = scalar_midpoint_step(want, sig, 0.05,
+                                        lambda a: nonlinear_rhs(SpectralField(a, G), P).coeffs)
+            got = stepper.step(got)
+        assert np.array_equal(got[0], want)
+
     # one mode at the fastest growth rate, with exp(sigma*dt) overflowing on
     # the full step only (sigma*dt = 1000), or on the midpoint too (3000)
     @pytest.mark.parametrize("growth", [1000.0, 3000.0], ids=["full", "half"])
@@ -246,7 +261,7 @@ class TestStep:
         assert len(built) == 1
         c = c0
         for _ in range(20):
-            c = _ScalarStepper((32, 32), G, P, 0.05, True).step(c)
+            c = _ScalarStepper((32, 32), G, P, 0.05, True).step(c[None])[0]
         assert np.array_equal(u.coeffs, c)
 
 
@@ -263,7 +278,7 @@ class TestFoldedNonlinearity:
     def test_scalar(self, shape):
         p = ModelParams(8.0, 1.0, 18.36)
         c = random_field(np.random.default_rng(31), shape, 0.1)
-        got = _ScalarStepper(shape, G, p, 0.05, True)._nonlinear(c)
+        got = _ScalarStepper(shape, G, p, 0.05, True)._nonlinear(c[None])
         want = nonlinear_by_dct(c, G, p)
         amplification = 1.0 + 0.5 * p.lam * rho_table(*shape, G)
         assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
@@ -272,7 +287,7 @@ class TestFoldedNonlinearity:
     def test_pair(self, shape):
         rng = np.random.default_rng(32)
         cu, cv = random_field(rng, shape, 0.1), random_field(rng, shape, 0.5)
-        got = _PairStepper(sim_config(n1=shape[0], n2=shape[1]))._nonlinear(cu, cv)
+        got = _PairStepper(sim_config(n1=shape[0], n2=shape[1]))._nonlinear(np.array([cu, cv]))
         want = pair_nonlinear_by_dct(cu, cv, G, P)
         amplification = 1.0 + 0.5 * rho_table(*shape, G)
         assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
@@ -291,14 +306,15 @@ class TestPlanBuffers:
         c, cv = random_field(rng, (32, 32), 0.2), random_field(rng, (32, 32), 1.0)
         scalar = _ScalarStepper((32, 32), G, P, 0.05, True)
         pair = _PairStepper(sim_config(dt=0.05))
-        results = [scalar.step(c), *pair.step((c, cv)), nonlinear_rhs(SpectralField(c, G), P).coeffs]
+        results = [scalar.step(c[None]), pair.step(np.array([c, cv])),
+                   nonlinear_rhs(SpectralField(c, G), P).coeffs]
         plan = simulator._cached_scalar_rhs(threading.get_ident(), (32, 32), G, P)
         buffers = self.buffers(scalar, scalar._rhs, pair, pair._rhs, plan)
         for r in results:
             assert not any(np.shares_memory(r, b) for b in buffers)
         kept = [r.copy() for r in results]
-        scalar.step(cv)
-        pair.step((cv, c))
+        scalar.step(cv[None])
+        pair.step(np.array([cv, c]))
         nonlinear_rhs(SpectralField(cv, G), P)
         for a, b in zip(results, kept):
             assert np.array_equal(a, b)
@@ -309,9 +325,9 @@ class TestPlanBuffers:
         rng = np.random.default_rng(28)
         c, cv = random_field(rng, (n, n), 0.2), random_field(rng, (n, n), 1.0)
         if model == "scalar":
-            stepper, state = _ScalarStepper((n, n), G, P, 0.05, True), c
+            stepper, state = _ScalarStepper((n, n), G, P, 0.05, True), c[None]
         else:
-            stepper, state = _PairStepper(sim_config(n1=n, n2=n, dt=0.05)), (c, cv)
+            stepper, state = _PairStepper(sim_config(n1=n, n2=n, dt=0.05)), np.array([c, cv])
         stepper.step(state)
         tracemalloc.start()
         try:
@@ -539,9 +555,28 @@ class TestFullSystem:
             cv = np.zeros((32, 32))
             cu[:5, :5] = rng.uniform(-0.1, 0.1, size=(5, 5))
             cv[:5, :5] = rng.uniform(-0.5, 0.5, size=(5, 5))
-            spec = stepper._nonlinear(cu, cv)[:8, :8]
+            spec = stepper._nonlinear(np.array([cu, cv]))[:8, :8]
             oracle = pair_nonlinear_by_quadrature(cu, cv, G, P, n_quad=512, out_modes=(8, 8))
             assert np.max(np.abs(spec - oracle)) <= 1e-8
+
+    def test_self_convergence_order(self):
+        p = ModelParams(8.0, 1.0, 18.9)
+        cu = np.zeros((32, 32))
+        cu[1, 1] = 0.05
+        cu[0, 2] = 0.03
+        cv = helmholtz_inverse(SpectralField(cu, G), p.lam).coeffs
+
+        def advance(dt, t=1.0):
+            stepper, state = _PairStepper(sim_config(params=p, dt=dt)), np.array([cu, cv])
+            for _ in range(int(round(t / dt))):
+                state = stepper.step(state)
+            return state
+
+        ref = advance(0.00078125)
+        errs = [np.linalg.norm(advance(dt) - ref) for dt in (0.05, 0.025, 0.0125)]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        for order in orders:
+            assert order == pytest.approx(2.0, abs=0.2)
 
     def test_agrees_with_scalar_model(self):
         p = ModelParams(8.0, 1.0, 18.36)
