@@ -19,11 +19,12 @@ Two models share the spatial machinery of :mod:`chemopattern.transforms`:
   must agree with the scalar model, which is what the cross-model checks
   compare.
 
-Both are stepped by one scheme, :class:`_Midpoint`, over a state of k fields
-(k = 1 for the scalar model, 2 for the pair): the linear part, diagonal in
-the cosine basis for the scalar model and coupling (u_k, v_k) in 2x2 blocks
-for the pair, is advanced exactly, and the nonlinearity, which enters the
-cell density only, by a second-order exponential midpoint rule.  One loop,
+Each model is one object (:class:`_ScalarRhs`, :class:`_PairRhs`) over k
+fields: its generator as per-mode k x k ``blocks`` (sigma_k; the 2x2 coupling
+of (u_k, v_k)) and its nonlinearity, which enters the cell density only.  One
+scheme, :class:`_Midpoint`, steps either, the linear part exactly through the
+blocks' exp and phi1 (one :func:`_block_function` for k = 1, 2) and the
+nonlinearity by a second-order exponential midpoint rule.  One loop,
 :func:`_run`, steps either and records field 0; a step raises
 ``NonFiniteError`` rather than return a non-finite state, and the loop
 reports that as :class:`BlowUpError` at the time of the step.
@@ -180,9 +181,10 @@ class Diagnostics:
 class _RhsPlan:
     """The transform side of one model's nonlinear right-hand side at one
     resolution, built once: every workspace of the two batched transforms
-    and of the pointwise products.  The padded grid is twice the base
-    resolution per axis, on which the products of a cubic nonlinearity are
-    alias-free.  A subclass adds the multipliers that stage the synthesized
+    and of the pointwise products, and their row ``views``.  The padded grid
+    is twice the base resolution per axis, on which the products of a cubic
+    nonlinearity are alias-free.  A subclass is one model: it adds the
+    generator ``blocks`` and the multipliers that stage the synthesized
     fields from the coefficients.
 
     A right-hand side then allocates no grid-sized memory.  (Each field is
@@ -202,6 +204,7 @@ class _RhsPlan:
         self.prod = np.empty((2, m1, m2))
         self.prod_rows = np.empty((2, m1, n2))
         self.coeffs = np.empty((2, n1, n2))
+        self.views = tuple(self.stage), tuple(self.grid), tuple(self.prod), tuple(self.coeffs)
 
     def synthesize(self) -> np.ndarray:
         """The staged fields on the padded grid (the ``grid`` workspace)."""
@@ -213,11 +216,12 @@ class _RhsPlan:
 
 
 class _ScalarRhs(_RhsPlan):
-    """:func:`nonlinear_rhs` of one model at one resolution."""
+    """The scalar model: the 1 x 1 blocks of sigma_k and :func:`nonlinear_rhs`."""
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
         super().__init__(shape, 3)
+        self.blocks = [[sigma(table, params)]]
         half_lam = 0.5 * params.lam
         # the multipliers of w and of D = (lam/2)*(Lap(u) - u)
         self.gain, self.d_mult = helmholtz_gain(table, 1.0), -half_lam * (table + 1.0)
@@ -228,12 +232,11 @@ class _ScalarRhs(_RhsPlan):
         """The nonlinearity of the state ``(1, n1, n2)``, into ``out``
         (default: a fresh array)."""
         c = state[0]
-        u, w, d = self.stage
+        (u, w, d), (U, W, D), (p0, p1), (g, uw) = self.views
         np.copyto(u, c)
         np.multiply(self.gain, c, out=w)
         np.multiply(self.d_mult, c, out=d)
-        U, W, D = self.synthesize()
-        p0, p1 = self.prod
+        self.synthesize()
         # (lam/2)*(W*LapU - U*LapW) - 3*alpha*U^2 - alpha*U^3 with LapW = W - U
         # is W*D + U^2*(lam/2 - 3*alpha - alpha*U)
         np.multiply(self.alpha, U, out=p1)
@@ -243,7 +246,7 @@ class _ScalarRhs(_RhsPlan):
         np.multiply(W, D, out=p0)
         np.add(p0, p1, out=p0)
         np.multiply(U, W, out=p1)
-        g, uw = self.analyse()
+        self.analyse()
         return np.add(g, np.multiply(self.half_lam_rho, uw, out=uw), out=out)
 
 
@@ -277,28 +280,59 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
 
 
+def _dphi1(s: np.ndarray) -> np.ndarray:
+    """phi1'(s) = (exp(s)*(s - 1) + 1)/s^2, stable near s = 0."""
+    return np.where(np.abs(s) < 1e-5, 0.5 + s / 3.0,
+                    (np.exp(s) * (s - 1.0) + 1.0) / np.where(s == 0, 1.0, s) ** 2)
+
+
+def _block_function(blocks, h: float, f, df):
+    """f(A h) for a field of k x k blocks A (nested lists of per-mode arrays):
+    elementwise for k = 1, and for k = 2 avg(f)|_eigs * I + divdiff(f)|_eigs *
+    (A h - mean(eigs) * I), with ``df`` = f' at the mean for coincident
+    eigenvalues.  The 2 x 2 blocks here have real eigenvalues (the
+    off-diagonal product is nonnegative)."""
+    if len(blocks) == 1:
+        return [[f(blocks[0][0] * h)]]
+    (A11, A12), (A21, A22) = blocks
+    tr = A11 + A22
+    root = np.sqrt(np.maximum((A11 - A22) ** 2 + 4.0 * A12 * A21, 0.0))
+    lam1, lam2 = 0.5 * (tr + root) * h, 0.5 * (tr - root) * h
+    s, d = 0.5 * (lam1 + lam2), lam1 - lam2
+    f1, f2 = f(lam1), f(lam2)
+    avg = 0.5 * (f1 + f2)
+    small = np.abs(d) < 1e-9 * np.maximum(1.0, np.abs(s))
+    dd = np.where(small, df(s), (f1 - f2) / np.where(small, 1.0, d))
+    return [[avg + dd * (A11 * h - s), dd * A12 * h],
+            [dd * A21 * h, avg + dd * (A22 * h - s)]]
+
+
 class _Midpoint:
-    """Exponential midpoint at fixed dt for a state ``(k, n1, n2)`` of k fields
-    whose linear part A couples them mode by mode in k x k blocks (nested
-    lists of per-mode arrays) and whose nonlinearity N enters field 0 only:
+    """Exponential midpoint at fixed dt for a model whose state ``(k, n1, n2)``
+    of k fields has the linear part A of its ``blocks`` and a nonlinearity N
+    (the model's call) that enters field 0 only:
 
         h      = exp(A dt/2) c + (dt/2) phi1(A dt/2) N(c) e0
         c_next = exp(A dt) c + dt exp(A dt/2) N(h) e0,
 
     the second-order midpoint quadrature of the variation-of-constants
-    integral.  Rows are looped, not broadcast (see :class:`_RhsPlan`), and
-    indexed, as iterating an array costs more than a row's product.
+    integral, or without N if not ``nonlinear``.  Rows are looped, not
+    broadcast (see :class:`_RhsPlan`), and indexed, as iterating an array
+    costs more than a row's product.
     """
 
-    def __init__(self, dt: float, e_full, e_half, p_half, rhs: _RhsPlan | None):
-        self.e_full, self.e_half, self._rhs = e_full, e_half, rhs
-        shape = e_full[0][0].shape
+    def __init__(self, model: _RhsPlan, dt: float, nonlinear: bool):
+        blocks, shape = model.blocks, model.shape
+        self.e_full = _block_function(blocks, dt, np.exp, np.exp)
+        self.e_half = _block_function(blocks, dt / 2.0, np.exp, np.exp)
+        self._rhs = model if nonlinear else None
         self._t = np.empty(shape)
-        if rhs is not None:
+        if nonlinear:
             # N(c) e0 meets column 0 of the blocks only
+            p_half = _block_function(blocks, dt / 2.0, _phi1, _dphi1)
             self.kick_half = [(dt / 2.0) * row[0] for row in p_half]
-            self.kick_full = [dt * row[0] for row in e_half]
-            self._n, self._h = np.empty(shape), np.empty((len(e_full), *shape))
+            self.kick_full = [dt * row[0] for row in self.e_half]
+            self._n, self._h = np.empty(shape), np.empty((len(blocks), *shape))
 
     def _nonlinear(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self._rhs(state, out)
@@ -325,13 +359,11 @@ class _Midpoint:
 
 
 class _ScalarStepper(_Midpoint):
-    """The scalar model, state ``(1, n1, n2)``, with 1 x 1 blocks of sigma_k."""
+    """The scalar model, state ``(1, n1, n2)``."""
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams,
                  dt: float, nonlinear: bool):
-        z = sigma(rho_table(*shape, geometry), params) * dt
-        super().__init__(dt, [[np.exp(z)]], [[np.exp(z / 2.0)]], [[_phi1(z / 2.0)]],
-                         _ScalarRhs(shape, geometry, params) if nonlinear else None)
+        super().__init__(_ScalarRhs(shape, geometry, params), dt, nonlinear)
 
     # bound in each model's own namespace, where perfbench's tracer looks
     step, _nonlinear = _Midpoint.step, _Midpoint._nonlinear
@@ -455,41 +487,15 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
 # two-field parent model
 # ----------------------------------------------------------------------------
 
-def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
-    """exp(A*dt) and phi1(A*dt) for a field of 2x2 blocks with real spectrum.
-
-    Uses f(A) = avg(f)|_eigs * I + divdiff(f)|_eigs * (A - mean(eigs)*I); the
-    blocks here always have real eigenvalues (the off-diagonal product is
-    nonnegative).
-    """
-    tr = A11 + A22
-    root = np.sqrt(np.maximum((A11 - A22) ** 2 + 4.0 * A12 * A21, 0.0))
-    lam1 = 0.5 * (tr + root) * dt
-    lam2 = 0.5 * (tr - root) * dt
-    s = 0.5 * (lam1 + lam2)
-    d = lam1 - lam2
-
-    def apply(fvals1, fvals2, fprime_s):
-        avg = 0.5 * (fvals1 + fvals2)
-        small = np.abs(d) < 1e-9 * np.maximum(1.0, np.abs(s))
-        dd = np.where(small, fprime_s, (fvals1 - fvals2) / np.where(small, 1.0, d))
-        # f(A dt) = avg*I + dd*(A dt - s I)
-        return ((avg + dd * (A11 * dt - s), dd * A12 * dt),
-                (dd * A21 * dt, avg + dd * (A22 * dt - s)))
-
-    E = apply(np.exp(lam1), np.exp(lam2), np.exp(s))
-    phi1_prime_s = np.where(np.abs(s) < 1e-5, 0.5 + s / 3.0,
-                            (np.exp(s) * (s - 1.0) + 1.0) / np.where(s == 0, 1.0, s) ** 2)
-    P = apply(_phi1(lam1), _phi1(lam2), phi1_prime_s)
-    return E, P
-
-
 class _PairRhs(_RhsPlan):
-    """The two-field model's nonlinear cell-density term at one resolution."""
+    """The two-field model: the 2 x 2 blocks coupling (u_k, v_k) and the
+    nonlinear cell-density term."""
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
         super().__init__(shape, 4)
+        self.blocks = [[-params.mu * table - 2.0 * params.alpha, table],
+                       [np.full_like(table, params.lam), -(1.0 + table)]]
         self.half_lap = -0.5 * table
         self.alpha, self.quad = params.alpha, -3.0 * params.alpha
         self.half_rho = 0.5 * table
@@ -499,14 +505,13 @@ class _PairRhs(_RhsPlan):
         ``(2, n1, n2)`` holding (u, v), through the product identity as in
         :func:`nonlinear_rhs`, into ``out`` (default: a fresh array)."""
         cu, cv = state[0], state[1]
-        u, v, x, y = self.stage
+        (u, v, x, y), (U, V, X, Y), (p0, p1), (nu, uv) = self.views
         np.copyto(u, cu)
         np.copyto(v, cv)
         np.multiply(self.half_lap, cu, out=x)
         np.multiply(self.half_lap, cv, out=y)
         # X = Lap(u)/2 and Y = Lap(v)/2
-        U, V, X, Y = self.synthesize()
-        p0, p1 = self.prod
+        self.synthesize()
         # 0.5*(V*LapU - U*LapV) - 3*alpha*U^2 - alpha*U^3
         # is V*X - U*Y + U^2*(-3*alpha - alpha*U)
         np.multiply(self.alpha, U, out=p1)
@@ -517,21 +522,16 @@ class _PairRhs(_RhsPlan):
         np.subtract(p0, np.multiply(U, Y, out=Y), out=p0)
         np.add(p0, p1, out=p0)
         np.multiply(U, V, out=p1)
-        nu, uv = self.analyse()
+        self.analyse()
         return np.add(nu, np.multiply(self.half_rho, uv, out=uv), out=out)
 
 
 class _PairStepper(_Midpoint):
-    """The two-field model, state ``(2, n1, n2)`` holding (u, v), with the 2 x 2
-    blocks of :func:`_pair_matrix_functions`."""
+    """The two-field model, state ``(2, n1, n2)`` holding (u, v)."""
 
     def __init__(self, cfg: SimConfig):
-        p, g, shape = cfg.params, cfg.geometry, (cfg.n1, cfg.n2)
-        table = rho_table(*shape, g)
-        A = (-p.mu * table - 2.0 * p.alpha, table, np.full_like(table, p.lam), -(1.0 + table))
-        super().__init__(cfg.dt, _pair_matrix_functions(*A, cfg.dt)[0],
-                         *_pair_matrix_functions(*A, cfg.dt / 2.0),
-                         _PairRhs(shape, g, p) if cfg.nonlinear else None)
+        model = _PairRhs((cfg.n1, cfg.n2), cfg.geometry, cfg.params)
+        super().__init__(model, cfg.dt, cfg.nonlinear)
 
     step, _nonlinear = _Midpoint.step, _Midpoint._nonlinear
 

@@ -245,6 +245,60 @@ def scalar_midpoint_step(c: np.ndarray, sig: np.ndarray, dt: float, nonlinear) -
     return np.exp(z) * c + (dt * exp_half) * nonlinear(h)
 
 
+def _pair_phi1(z: np.ndarray) -> np.ndarray:
+    small = np.abs(z) < 1e-8
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
+
+
+def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
+    """exp(A*dt) and phi1(A*dt) for a field of 2x2 blocks with real spectrum,
+    by f(A) = avg(f)|_eigs * I + divdiff(f)|_eigs * (A - mean(eigs)*I), with
+    f' at the mean where the eigenvalues coincide."""
+    tr = A11 + A22
+    root = np.sqrt(np.maximum((A11 - A22) ** 2 + 4.0 * A12 * A21, 0.0))
+    lam1 = 0.5 * (tr + root) * dt
+    lam2 = 0.5 * (tr - root) * dt
+    s = 0.5 * (lam1 + lam2)
+    d = lam1 - lam2
+
+    def apply(fvals1, fvals2, fprime_s):
+        avg = 0.5 * (fvals1 + fvals2)
+        small = np.abs(d) < 1e-9 * np.maximum(1.0, np.abs(s))
+        dd = np.where(small, fprime_s, (fvals1 - fvals2) / np.where(small, 1.0, d))
+        return ((avg + dd * (A11 * dt - s), dd * A12 * dt),
+                (dd * A21 * dt, avg + dd * (A22 * dt - s)))
+
+    E = apply(np.exp(lam1), np.exp(lam2), np.exp(s))
+    phi1_prime_s = np.where(np.abs(s) < 1e-5, 0.5 + s / 3.0,
+                            (np.exp(s) * (s - 1.0) + 1.0) / np.where(s == 0, 1.0, s) ** 2)
+    P = apply(_pair_phi1(lam1), _pair_phi1(lam2), phi1_prime_s)
+    return E, P
+
+
+def pair_midpoint_step(c: np.ndarray, table: np.ndarray, p: ModelParams, dt: float,
+                       nonlinear) -> np.ndarray:
+    """One exponential-midpoint step of the two-field model, state ``c`` of
+    shape (2, n1, n2) holding (u, v), with the 2x2 blocks
+    A = ((-mu*rho - 2*alpha, rho), (lam, -(1 + rho))) of ``table`` = rho_k,
+    products associated as the two-field model's reference bytes have them:
+
+        h      = exp(A dt/2) c + ((dt/2) phi1(A dt/2) e0) N(c)
+        c_next = exp(A dt) c + (dt exp(A dt/2) e0) N(h)
+
+    ``nonlinear`` maps a state to N; the formula pins the time scheme only,
+    so the caller supplies the package's right-hand side."""
+    A = (-p.mu * table - 2.0 * p.alpha, table, np.full_like(table, p.lam), -(1.0 + table))
+    E, _ = _pair_matrix_functions(*A, dt)
+    E_half, P_half = _pair_matrix_functions(*A, dt / 2.0)
+    n = nonlinear(c)
+    h = np.array([E_half[i][0] * c[0] + E_half[i][1] * c[1] + ((dt / 2.0) * P_half[i][0]) * n
+                  for i in range(2)])
+    n = nonlinear(h)
+    return np.array([E[i][0] * c[0] + E[i][1] * c[1] + (dt * E_half[i][0]) * n
+                     for i in range(2)])
+
+
 def count_roots_by_index(field, box: float, n: int = 401) -> int:
     """Count nontrivial roots of a planar field by the winding of the field
     around each cell of an n x n grid.

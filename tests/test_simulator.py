@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from chemopattern import (
     ModelParams,
@@ -26,14 +27,20 @@ from chemopattern.simulator import (
     Diagnostics,
     InitialCondition,
     SimConfig,
+    _PairRhs,
     _PairStepper,
+    _ScalarRhs,
     _ScalarStepper,
+    _block_function,
+    _dphi1,
+    _phi1,
 )
 
 from oracles import (
     l2_norm,
     nonlinear_by_dct,
     nonlinear_by_quadrature,
+    pair_midpoint_step,
     pair_nonlinear_by_dct,
     pair_nonlinear_by_quadrature,
     scalar_midpoint_step,
@@ -559,6 +566,22 @@ class TestFullSystem:
             oracle = pair_nonlinear_by_quadrature(cu, cv, G, P, n_quad=512, out_modes=(8, 8))
             assert np.max(np.abs(spec - oracle)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_pair_bytes_match_the_midpoint_formula(self, n):
+        # the pair stepper is the shared k-field scheme at k = 2; its bytes
+        # must stay those of the 2x2 block formula, including the coincident
+        # eigenvalues of the (0, 0) block at alpha = 0.5
+        rng = np.random.default_rng(34)
+        cu, cv = random_field(rng, (n, n), 0.1), random_field(rng, (n, n), 0.5)
+        for p in (P, ModelParams(8.0, 0.5, 13.0)):
+            stepper = _PairStepper(sim_config(n1=n, n2=n, dt=0.05, params=p))
+            rhs = _PairRhs((n, n), G, p)
+            want = got = np.array([cu, cv])
+            for _ in range(20):
+                want = pair_midpoint_step(want, rho_table(n, n, G), p, 0.05, rhs)
+                got = stepper.step(got)
+            assert np.array_equal(got, want)
+
     def test_self_convergence_order(self):
         p = ModelParams(8.0, 1.0, 18.9)
         cu = np.zeros((32, 32))
@@ -588,3 +611,42 @@ class TestFullSystem:
         a = abs(final_s.mode((0, 2)))
         b = abs(final_f.mode((0, 2)))
         assert b == pytest.approx(a, rel=0.15)
+
+
+class TestModels:
+    """Each model's generator blocks, and the matrix functions of them."""
+
+    def test_scalar_blocks_are_the_growth_rates(self):
+        blocks = _ScalarRhs((32, 64), G, P).blocks
+        assert len(blocks) == 1 and len(blocks[0]) == 1
+        assert np.array_equal(blocks[0][0], sigma(rho_table(32, 64, G), P))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_pair_generator_is_singular_on_the_critical_modes(self, alpha):
+        # det A = (1 + rho)(mu*rho + 2*alpha) - lam*rho vanishes where the
+        # slow eigenvalue crosses zero, at lambda_c on the critical modes
+        p0 = ModelParams(8.0 * alpha, alpha, 1.0)
+        g = make_critical_geometry(1, 1, p0)
+        crit = lambda_critical(p0, g)
+        p = ModelParams(p0.mu, alpha, crit.lambda_c)
+        (a11, a12), (a21, a22) = _PairRhs((32, 32), g, p).blocks
+        for k in crit.critical_modes:
+            det, scale = a11[k] * a22[k] - a12[k] * a21[k], abs(a11[k] * a22[k])
+            assert abs(det) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("h", [0.01, 0.025, 1e-4])
+    def test_pair_block_functions_match_expm(self, h, alpha):
+        # phi1(A h) is the top-right block of expm([[A h, I], [0, 0]]); at
+        # alpha = 0.5 the (0, 0) block [[-1, 0], [lam, -1]] is a Jordan block
+        blocks = _PairRhs((32, 32), G, ModelParams(8.0, alpha, 18.0)).blocks
+        A = np.moveaxis(np.array(blocks), (0, 1), (-2, -1)).reshape(-1, 2, 2) * h
+        aug = np.zeros((len(A), 4, 4))
+        aug[:, :2, :2], aug[:, :2, 2:] = A, np.eye(2)
+        wants = expm(A), expm(aug)[:, :2, 2:]
+        for (f, df), want in zip(((np.exp, np.exp), (_phi1, _dphi1)), wants):
+            got = np.moveaxis(np.array(_block_function(blocks, h, f, df)), (0, 1), (-2, -1))
+            err = np.max(np.abs(got.reshape(-1, 2, 2) - want), axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
+        if alpha == 0.5:
+            assert blocks[0][0][0, 0] == blocks[1][1][0, 0] and blocks[0][1][0, 0] == 0.0
