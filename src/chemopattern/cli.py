@@ -8,7 +8,7 @@ simulate-full, sweep, verify-theorem1, verify-theorem2.  The subcommand must
 match the ``kind`` in the configuration file; command-line flags override the
 corresponding configuration values.  The exit code is nonzero iff a
 verification suite reports an overall failure, a simulation blows up (one
-``error:`` line, exit 1), or the run crashes.
+``error:`` line, exit 1), the configuration is bad (exit 2), or it crashes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import sys
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config, serialize_config
 from .core import SearchBoundaryError
+from .reduction import ResonanceError
+from .reports import VerificationReport
 from .simulator import BlowUpError
 from .verify import (
     run_linear,
@@ -69,32 +71,24 @@ def main(argv: list[str] | None = None) -> int:
         print(serialize_config(cfg), end="")
         return 0
 
+    # built per call, so the runners are this module's names at call time
+    runners = {"linear": run_linear, "reduce": run_reduce, "ode": run_ode,
+               "simulate": run_simulate, "simulate-full": run_simulate, "sweep": run_sweep,
+               "verify-theorem1": run_verify_theorem1, "verify-theorem2": run_verify_theorem2}
     try:
-        if cfg.kind == "linear":
-            paths = run_linear(cfg)
-        elif cfg.kind == "reduce":
-            paths = run_reduce(cfg)
-        elif cfg.kind == "ode":
-            paths = run_ode(cfg)
-        elif cfg.kind == "simulate":
-            paths = run_simulate(cfg)
-        elif cfg.kind == "simulate-full":
-            paths = run_simulate(cfg, full_system=True)
-        elif cfg.kind == "sweep":
-            paths = run_sweep(cfg)
-        else:
-            run = run_verify_theorem1 if cfg.kind == "verify-theorem1" else run_verify_theorem2
-            rep = run(cfg)
-            print(rep.to_table(), end="")
-            return 0 if rep.overall else 1
-    except (ConfigError, SearchBoundaryError) as exc:
-        # a k_max too small for the geometry is a configuration error too
+        result = runners[cfg.kind](cfg)
+    except (ConfigError, SearchBoundaryError, ResonanceError) as exc:
+        # a k_max too small for the geometry, or a geometry the two-mode
+        # reduction does not apply to, is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name, path in paths.items():
+    if isinstance(result, VerificationReport):
+        print(result.to_table(), end="")
+        return 0 if result.overall else 1
+    for path in result.values():
         print(f"wrote {path}")
     return 0
 

@@ -192,30 +192,34 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
     },
 }
 
-#: the kinds that read each kind-specific section; every other kind would
-#: silently ignore it
+#: the kinds that read the working point; sweep (whose cells take geometry
+#: and coupling from [sweep]) and verify-theorem2 (which perturbs the resonant
+#: point by [verify] amounts) set it themselves
+_WORKING_POINT_READERS = tuple(k for k in EXPERIMENT_KINDS if k not in ("sweep", "verify-theorem2"))
+
+#: the kinds that read each (section, key) pair or section; every other kind
+#: would silently ignore it, and a section without a row is read by all
 _READ_BY = {
     "linear": ("linear",),
     "ode": ("ode",),
     "simulation": ("simulate", "simulate-full"),
-    "verify": ("verify-theorem1", "verify-theorem2"),
+    "verify": ("verify-theorem1",),
+    ("verify", "ell2_perturb"): ("verify-theorem2",),
+    ("verify", "lambda_perturb"): ("verify-theorem2",),
     "sweep": ("sweep",),
+    "physical": _WORKING_POINT_READERS,
+    ("model", "lambda"): _WORKING_POINT_READERS,
+    ("model", "lambda_factor"): _WORKING_POINT_READERS,
+    ("geometry", "ell1"): _WORKING_POINT_READERS,
+    ("geometry", "ell2"): _WORKING_POINT_READERS,
+    ("geometry", "ell2_factor"): _WORKING_POINT_READERS,
 }
-
-#: sections or (section, key) pairs of the working point, which sweep (whose
-#: cells take geometry and coupling from [sweep]) and verify-theorem2 (which
-#: perturbs the resonant point by [verify] amounts) set themselves
-_WORKING_POINT_KEYS = ("physical", ("model", "lambda"), ("model", "lambda_factor"),
-                       ("geometry", "ell1"), ("geometry", "ell2"), ("geometry", "ell2_factor"))
 
 
 def _set_by_kind(kind: str, section: str, key: str) -> bool:
     """Whether ``kind`` sets [section] key itself or never reads it, so a
     config may not."""
-    if section in _READ_BY and kind not in _READ_BY[section]:
-        return True
-    return kind in ("sweep", "verify-theorem2") and (
-        section in _WORKING_POINT_KEYS or (section, key) in _WORKING_POINT_KEYS)
+    return kind not in _READ_BY.get((section, key), _READ_BY.get(section, EXPERIMENT_KINDS))
 
 
 @dataclass

@@ -108,7 +108,6 @@ class CriticalData:
     rho_star: float
     rho_star_continuum: float
     lambda_c_continuum: float
-    k_max: int
 
 
 def nondimensionalize(p: PhysicalParams) -> ModelParams:
@@ -190,7 +189,6 @@ def lambda_critical(p: ModelParams, g: DomainGeometry, k_max: int = DEFAULT_K_MA
         rho_star=rho_star,
         rho_star_continuum=math.sqrt(2.0 * p.alpha / p.mu),
         lambda_c_continuum=(math.sqrt(p.mu) + math.sqrt(2.0 * p.alpha)) ** 2,
-        k_max=k_max,
     )
 
 

@@ -64,7 +64,6 @@ class SlavingFit:
     coeff_00_2: float | None
     kappa1_hat: float | None
     kappa2_hat: float | None
-    n_samples: int
     degenerate: tuple[str, ...] = ()
 
 
@@ -135,23 +134,21 @@ def fit_slaving(diag, m: int, n: int, t_min: float = 25.0) -> SlavingFit:
 
     if c1 is None and c2 is None and kappa1 is None and kappa2 is None:
         raise FitDegenerateError("no slaving coefficient is identifiable from this run")
-    return SlavingFit(c1, c2, kappa1, kappa2, int(sel.sum()), tuple(degenerate))
+    return SlavingFit(c1, c2, kappa1, kappa2, tuple(degenerate))
 
 
 @dataclass(frozen=True)
 class SaturationFit:
     """Branch cubic coefficient from steady amplitudes.
 
-    ``slope`` is the through-origin regression of amplitude^2 on sigma;
-    ``branch_coefficient`` = -1/slope is the cubic coefficient of the
+    ``branch_coefficient`` = -1/slope, with the slope of the through-origin
+    regression of amplitude^2 on sigma, is the cubic coefficient of the
     invariant-branch normal form y' = sigma*y + c*y^3.  ``combination`` names
     the coefficient combination it estimates: b1 (roll branch),
     b1 + 2*b2 (rectangle branch, = 4*branch_coefficient), b1 + 4*b2
     (hexagon branch).
     """
 
-    branch: str
-    slope: float
     branch_coefficient: float
     combination: str
     combination_value: float
@@ -187,7 +184,7 @@ def fit_saturation(runs, branch: str) -> SaturationFit:
         name, value = "b1+2*b2", 4.0 * c
     else:
         name, value = "b1+4*b2", c
-    return SaturationFit(branch, slope, c, name, value)
+    return SaturationFit(c, name, value)
 
 
 def branch_steady_amplitude(diag, m: int, n: int, branch: str) -> float:

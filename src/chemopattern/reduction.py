@@ -61,7 +61,8 @@ TYPE1_SMALLNESS = 0.1
 
 
 class ResonanceError(ValueError):
-    """A slaved mode has (near-)zero growth rate; the reduction is invalid."""
+    """The two-mode reduction does not apply: the critical pair does not
+    share a wavenumber, or a slaved mode has (near-)zero growth rate."""
 
 
 class RectangleRootError(RuntimeError):
@@ -200,12 +201,12 @@ def cubic_coefficients(
 
     The geometry must put modes (m, n) and (0, 2n) on a common squared
     wavenumber (as :func:`chemopattern.core.make_critical_geometry` does);
-    otherwise the two-mode reduction does not apply.
+    otherwise the two-mode reduction does not apply (:class:`ResonanceError`).
     """
     r1 = rho((m, n), g)
     r2 = rho((0, 2 * n), g)
     if abs(r1 - r2) > 1e-9 * max(r1, r2):
-        raise ValueError(
+        raise ResonanceError(
             f"modes ({m},{n}) and (0,{2*n}) have distinct squared wavenumbers "
             f"{r1:.6g} != {r2:.6g}; not a resonant rectangle")
     a_c, b1_q, b2_q = b_coefficients(p, r1)

@@ -208,12 +208,12 @@ def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
-                m: int, n: int, seed: int | None) -> SimConfig:
+                m: int, n: int) -> SimConfig:
     s = cfg.data["simulation"]
     if s["ic_kind"] == "modes":
         ic = InitialCondition(kind="modes", modes=s["ic_modes"])
     else:
-        ic = InitialCondition(kind="random", seed=seed, amplitude=s["ic_amplitude"],
+        ic = InitialCondition(kind="random", seed=cfg.seed, amplitude=s["ic_amplitude"],
                               kmax=s["ic_kmax"])
     return SimConfig(
         params=p, geometry=g, n1=s["n1"], n2=s["n2"], dt=s["dt"], t_end=s["t_end"], ic=ic,
@@ -223,11 +223,12 @@ def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
     )
 
 
-def run_simulate(cfg: ExperimentConfig, full_system: bool = False) -> dict[str, str]:
-    """One full simulation; writes the mode series, snapshots, and a summary."""
+def run_simulate(cfg: ExperimentConfig) -> dict[str, str]:
+    """One full simulation of the kind's model (``simulate-full``: the
+    two-field system); writes the mode series, snapshots, and a summary."""
     p, g, crit, m, n = resolve_setup(cfg)
-    sim_cfg = _sim_config(cfg, p, g, m, n, cfg.seed)
-    if full_system:
+    sim_cfg = _sim_config(cfg, p, g, m, n)
+    if cfg.kind == "simulate-full":
         diag, (final, _v) = simulate_full_system(sim_cfg)
     else:
         diag, final = simulate(sim_cfg)
@@ -313,19 +314,22 @@ def _stability_census(eqs) -> Counter:
 
 
 def _sign_rules_hold(rc, eqs) -> bool:
-    """Determinant sign rules: sgn(det J) = sgn(b1 - 2*b2) at rolls and
-    rectangles, the opposite sign at ratio-locked (hexagon) points."""
+    """Determinant sign rules: sgn(det J) = sgn(b1 - 2*b2) at every nontrivial
+    point but the ratio-locked (hexagon) ones, which have the opposite sign."""
     want = math.copysign(1.0, rc.frak_b1 - 2.0 * rc.frak_b2)
-    for e in eqs:
-        if e.pattern_class in ("roll", "rectangle", "mixed"):
-            det = e.jacobian_eigenvalues[0] * e.jacobian_eigenvalues[1]
-            if math.copysign(1.0, det) != want:
-                return False
-        elif e.pattern_class == "hexagon":
-            det = e.jacobian_eigenvalues[0] * e.jacobian_eigenvalues[1]
-            if math.copysign(1.0, det) != -want:
-                return False
-    return True
+    return all(math.copysign(1.0, e.jacobian_eigenvalues[0] * e.jacobian_eigenvalues[1])
+               == (-want if e.pattern_class == "hexagon" else want)
+               for e in eqs if e.pattern_class != "trivial")
+
+
+def _ring_rows(rep: VerificationReport, rc, eqs, ring_name: str) -> None:
+    """The determinant sign-rule row and the ring-attractor row of ``rc``."""
+    hold = _sign_rules_hold(rc, eqs)
+    rep.add("Jacobian determinant sign rules", "hold", "hold" if hold else "violated",
+            "sign", hold)
+    desc = attractor_graph(rc)
+    rep.add(ring_name, "true", "true" if desc.is_circle else "false", "graph", desc.is_circle,
+            note="; ".join(desc.notes))
 
 
 def _nearest_amplitude_mismatch(y1: float, y2: float, eqs) -> tuple[float, str]:
@@ -343,23 +347,24 @@ def _nearest_amplitude_mismatch(y1: float, y2: float, eqs) -> tuple[float, str]:
 
 
 def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
-    """Saturation runs on the invariant "roll" or "hexagon" branch: [(sigma, amplitude)]."""
+    """Saturation runs on the invariant "roll" or "hexagon" branch, on the
+    usable CPUs: [(sigma, amplitude)]."""
     v = cfg.data["verify"]
-    runs = []
-    for sig in sigmas:
-        lam = _lambda_for_sigma(crit, sig)
-        p = ModelParams(p_base.mu, p_base.alpha, lam)
-        if branch == "roll":
-            modes = (((0, 2 * n), 1e-3),)
-        else:
-            modes = (((m, n), 2e-3), ((0, 2 * n), 1e-3))
+    if branch == "roll":
+        modes = (((0, 2 * n), 1e-3),)
+    else:
+        modes = (((m, n), 2e-3), ((0, 2 * n), 1e-3))
+
+    def run(sig):
+        p = ModelParams(p_base.mu, p_base.alpha, _lambda_for_sigma(crit, sig))
         sim_cfg = SimConfig(
             params=p, geometry=g, n1=v["fit_n1"], n2=v["fit_n2"], dt=v["fit_dt"],
             t_end=max(80.0 / sig, 400.0), mode_m=m, mode_n=n,
             ic=InitialCondition(kind="modes", modes=modes))
         diag, _ = simulate(sim_cfg)
-        runs.append((sig, branch_steady_amplitude(diag, m, n, branch)))
-    return runs
+        return sig, branch_steady_amplitude(diag, m, n, branch)
+
+    return map_in_order(run, sigmas)
 
 
 def _arbitrate(value: float, candidate_formula: float, candidate_paper: float) -> str:
@@ -383,6 +388,13 @@ def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
     coefficient arbitration by saturation fits.
     """
     rep = VerificationReport("verification: degenerate critical point")
+    _theorem1_checks(cfg, rep)
+    return _write_report(cfg, rep, "theorem1")
+
+
+def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
+    """Add theorem1's rows to ``rep``; returns early where a hypothesis or
+    the coupling leaves the remaining checks nothing to check."""
     v = cfg.data["verify"]
     factor = cfg.get("model", "lambda_factor")
     p, g, crit, m, n = resolve_setup(
@@ -392,8 +404,7 @@ def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
         rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", False,
                 note="the balanced-diffusion hypothesis mu = 8*alpha is violated; "
                      "remaining checks skipped")
-        _write_report(cfg, rep, "theorem1")
-        return rep
+        return
     rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", True)
 
     rep.add_numeric("lambda_c = 9*mu/4", 2.25 * p.mu, crit.lambda_c, 1e-10)
@@ -418,8 +429,7 @@ def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
 
     if lam_factor <= 1.0:
         rep.provenance.append("coupling at or below critical: supercritical checks skipped by design")
-        _write_report(cfg, rep, "theorem1")
-        return rep
+        return
 
     # supercritical reduced system: coefficients frozen at the critical
     # coupling (where a_q = 0 exactly), growth rate taken at the working
@@ -439,14 +449,7 @@ def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
             "exact", stated,
             note="the determinant sign rules with b1 - 2*b2 > 0 give the opposite "
                  "assignment; see the sign-rule check")
-    rep.add("Jacobian determinant sign rules", "hold",
-            "hold" if _sign_rules_hold(rc, eqs) else "violated",
-            "sign", _sign_rules_hold(rc, eqs))
-
-    desc = attractor_graph(rc)
-    rep.add("ring attractor (8 equilibria + heteroclinic ring)", "true",
-            "true" if desc.is_circle else "false", "graph", desc.is_circle,
-            note="; ".join(desc.notes))
+    _ring_rows(rep, rc, eqs, "ring attractor (8 equilibria + heteroclinic ring)")
 
     survey = basin_survey(rc, v["ray_radius"], v["n_rays"])
     labels = Counter("unresolved" if e is None else e.pattern_class for e in survey.values())
@@ -533,9 +536,6 @@ def run_verify_theorem1(cfg: ExperimentConfig) -> VerificationReport:
             rep.add(f"stage: {stage_name}", "completes", f"{type(exc).__name__}: {exc}",
                     "no error", False)
 
-    _write_report(cfg, rep, "theorem1")
-    return rep
-
 
 def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
     """Verification under small perturbations of domain length and coupling.
@@ -560,28 +560,19 @@ def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
 
     try:
         eqs = equilibria(rc)
-        rect_failure = False
     except RectangleRootError as exc:
-        rect_failure = True
         rep.add("no pure-rectangle equilibrium", "absent", f"present ({exc})", "exact", False)
-    if not rect_failure:
+    else:
         nontrivial = [e for e in eqs if e.pattern_class != "trivial"]
         census = _stability_census(eqs)
-        rep.add("no pure-rectangle equilibrium", "absent",
-                "absent" if census.get(("rectangle", "saddle"), 0)
-                + census.get(("rectangle", "stable-node"), 0) == 0 else "present",
-                "exact", all(c != "rectangle" for c, _s in census))
+        rect = any(c == "rectangle" for c, _s in census)
+        rep.add("no pure-rectangle equilibrium", "absent", "present" if rect else "absent",
+                "exact", not rect)
         rep.add("nontrivial equilibria", "8", str(len(nontrivial)), "count",
                 len(nontrivial) == 8)
         n_mixed = sum(k for (c, _s2), k in census.items() if c == "mixed")
         rep.add("mixed-pattern equilibria", "2", str(n_mixed), "count", n_mixed == 2)
-        rep.add("Jacobian determinant sign rules", "hold",
-                "hold" if _sign_rules_hold(rc, eqs) else "violated", "sign",
-                _sign_rules_hold(rc, eqs))
-
-        desc = attractor_graph(rc)
-        rep.add("ring attractor", "true", "true" if desc.is_circle else "false",
-                "graph", desc.is_circle, note="; ".join(desc.notes))
+        _ring_rows(rep, rc, eqs, "ring attractor")
 
         disc = 2.0 * rc.frak_b2 - rc.frak_b1
         hex_stable = census.get(("hexagon", "stable-node"), 0)
@@ -607,11 +598,11 @@ def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
                 f"hexagons stable: {flipped[0]} -> {flipped[1]} as 2*b2-b1 goes "
                 f"{fmt(disc)} -> {fmt(flip_sign)}", "exact", ok_flip)
         rep.provenance.append(f"coefficient convention in use: {cfg.convention}")
-
-    _write_report(cfg, rep, "theorem2")
-    return rep
+    return _write_report(cfg, rep, "theorem2")
 
 
-def _write_report(cfg: ExperimentConfig, rep: VerificationReport, tag: str) -> None:
+def _write_report(cfg: ExperimentConfig, rep: VerificationReport, tag: str) -> VerificationReport:
+    """Write ``rep`` as ``verify_<tag>_report.txt`` and ``.tsv``; returns it."""
     _write(cfg, {f"verify_{tag}_report.txt": rep.to_table(),
                  f"verify_{tag}_report.tsv": rep.to_tsv()})
+    return rep

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chemopattern.cli import main
-from chemopattern.config import parse_config, serialize_config
+from chemopattern.config import EXPERIMENT_KINDS, parse_config, serialize_config
 
 RUN = [sys.executable, "-m", "chemopattern.cli"]
 
@@ -63,7 +63,7 @@ class TestCliBasics:
         assert "kind = linear" in dumped
         assert "k_max = 6" in dumped
 
-    @pytest.mark.parametrize("kind", ["sweep", "verify-theorem2"])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_dumped_config_parses_again(self, tmp_path, capsys, kind):
         cfg = write(tmp_path / "k.cfg", f"[experiment]\nkind = {kind}\nseed = 5\n"
                     "[geometry]\nm = 2\nk_max = 12\n")
@@ -150,6 +150,15 @@ class TestCliBasics:
         assert main(["linear", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k_max" in err
+
+    @pytest.mark.parametrize("kind", ["reduce", "ode", "verify-theorem1"])
+    def test_non_resonant_geometry_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "g.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
+                    "[geometry]\nell1 = 4\nell2 = 5\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a resonant rectangle" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
     def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys, kind):

@@ -29,13 +29,13 @@ RANGE_CASES = [
     ("verify-theorem1", "verify", "slaving_dt = 0", "positive", "0.0"),
     ("verify-theorem1", "verify", "slaving_t_end = -10", "positive", "-10.0"),
     ("verify-theorem1", "verify", "pde_dt = 0", "positive", "0.0"),
-    ("verify-theorem2", "verify", "pde_t_end = 0", "positive", "0.0"),
+    ("verify-theorem1", "verify", "pde_t_end = 0", "positive", "0.0"),
     ("verify-theorem1", "verify", "fit_n1 = 16", "a power of two >= 32", "16"),
     ("verify-theorem1", "verify", "fit_n2 = 48", "a power of two >= 32", "48"),
     ("verify-theorem1", "verify", "slaving_n1 = 0", "a power of two >= 32", "0"),
     ("verify-theorem1", "verify", "slaving_n2 = 96", "a power of two >= 32", "96"),
     ("verify-theorem1", "verify", "pde_n1 = 8", "a power of two >= 32", "8"),
-    ("verify-theorem2", "verify", "pde_n2 = -64", "a power of two >= 32", "-64"),
+    ("verify-theorem1", "verify", "pde_n2 = -64", "a power of two >= 32", "-64"),
     ("simulate", "simulation", "n1 = 16", "a power of two >= 32", "16"),
     ("simulate-full", "simulation", "n2 = 100", "a power of two >= 32", "100"),
     ("simulate", "simulation", "dt = 0", "positive", "0.0"),
@@ -170,7 +170,11 @@ class TestParsing:
         ("verify-theorem1", "ode", "dt = 0.5"), ("ode", "verify", "n_rays = 8"),
         ("simulate-full", "sweep", "t_end = 10"), ("verify-theorem2", "linear", "lambda_factors = 1"),
         ("reduce", "verify", "lambda_factor = 1.05"), ("sweep", "verify", "n_rays = 8"),
-        ("linear", "ode", "t_end = 10"), ("ode", "sweep", "n1 = 64")])
+        ("linear", "ode", "t_end = 10"), ("ode", "sweep", "n1 = 64")] + [
+        # theorem2 reads only the perturbations of [verify], theorem1 all but them
+        ("verify-theorem2", "verify", "pde_n1 = 64"), ("verify-theorem2", "verify", "skip_pde = true"),
+        ("verify-theorem2", "verify", "lambda_factor = 1.05"),
+        ("verify-theorem1", "verify", "ell2_perturb = 0.02")])
     def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
         key = f"[{section}] {entry.partition(' =')[0]}"
         text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"

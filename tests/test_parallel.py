@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from chemopattern import attractor_graph, basin_survey, parallel, planar
+from chemopattern import attractor_graph, basin_survey, parallel, planar, verify
 from chemopattern.cli import main
+from chemopattern.config import parse_config
 from chemopattern.parallel import map_in_order
 
 
@@ -113,6 +114,12 @@ class TestPlanarCallers:
             assert one.is_circle and len(one.connections) == 8
 
 
+#: theorem1 without its PDE stage, with short arbitration and slaving runs
+THEOREM1_SHORT = ("[experiment]\nkind = verify-theorem1\n[verify]\nskip_pde = true\nn_rays = 16\n"
+                  "sigma_list = 0.2;0.3;0.4\nsigma_list_hex = 0.2;0.3;0.4\nfit_dt = 0.1\n"
+                  "slaving_t_end = 60\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n")
+
+
 def run_cli(kind, text, path):
     path.mkdir()
     (path / "in.cfg").write_text(text)
@@ -125,6 +132,7 @@ class TestExperimentFiles:
         ("ode", "[experiment]\nkind = ode\n[model]\nlambda_factor = 1.02\n"
                 "[ode]\nn_rays = 16\nt_end = 2000\n"),
         ("verify-theorem2", "[experiment]\nkind = verify-theorem2\nseed = 1\n"),
+        ("verify-theorem1", THEOREM1_SHORT),
         ("sweep", "[experiment]\nkind = sweep\nseed = 5\n"
                   "[sweep]\nlambda_factors = 1.02;-1\ngeometry_factors = 1.0;1.01\n"
                   "t_end = 30\ndt = 0.05\n"),
@@ -140,3 +148,23 @@ class TestExperimentFiles:
             assert [r.split("\t")[:2] for r in rows] == [["1", "1.02"], ["1", "-1"],
                                                          ["1.01", "1.02"], ["1.01", "-1"]]
             assert [r.split("\t")[-1].split(":")[0] for r in rows] == ["ok", "error"] * 2
+        if kind == "verify-theorem1":
+            # the arbitration stage ran both sigma lists to the end
+            assert b"hexagon-branch arbitration" in files["verify_theorem1_report.tsv"]
+
+    def test_worker_error_is_the_stage_failure_row(self, monkeypatch, tmp_path):
+        set_workers(monkeypatch, 2)
+        parent, real = os.getpid(), verify.simulate
+
+        def simulate(sim_cfg):
+            if os.getpid() != parent:
+                raise RuntimeError("simulation failed: in a worker")
+            return real(sim_cfg)
+
+        monkeypatch.setattr(verify, "simulate", simulate)
+        cfg = parse_config(THEOREM1_SHORT)
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = verify.run_verify_theorem1(cfg)
+        row, = [c for c in rep.checks if c.name == "stage: coefficient arbitration"]
+        assert (row.observed, row.passed) == ("RuntimeError: simulation failed: in a worker", False)
+        assert (tmp_path / "verify_theorem1_report.tsv").read_text() == rep.to_tsv()

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from chemopattern.config import parse_config
 from chemopattern.core import DomainGeometry, ModelParams, lambda_critical, make_critical_geometry
+from chemopattern.reduction import equilibria
 from chemopattern.verify import (
+    _sign_rules_hold,
     resolve_setup,
     run_linear,
     run_reduce,
@@ -160,6 +164,20 @@ class TestVerifyTheorem2Paths:
                      "mixed-pattern equilibria", "ring attractor",
                      "classification flips with the sign of 2*b2-b1"):
             assert by_name[name].passed, name
+
+
+class TestSignRules:
+    @pytest.mark.parametrize("cls, sign_of", [("hexagon", "roll"), ("roll", "hexagon")])
+    def test_a_point_with_the_other_class_determinant_sign_violates_them(self, bench, cls,
+                                                                         sign_of):
+        _, _, _, rc0 = bench
+        rc = replace(rc0, sigma1=0.05, sigma2=0.05)
+        eqs = list(equilibria(rc))
+        assert _sign_rules_hold(rc, eqs)
+        donor = next(e for e in eqs if e.pattern_class == sign_of)
+        i = next(i for i, e in enumerate(eqs) if e.pattern_class == cls)
+        eqs[i] = replace(eqs[i], jacobian_eigenvalues=donor.jacobian_eigenvalues)
+        assert not _sign_rules_hold(rc, eqs)
 
 
 class TestDriverOutputs:
