@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .output import cell, fmt
+from .simulator import record_modes
+
 EXPERIMENT_KINDS = (
     "linear",
     "reduce",
@@ -56,16 +59,12 @@ def _parse_mode_list(text: str) -> tuple[tuple[tuple[int, int], float], ...]:
     return tuple(out)
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fmt_float_list(xs) -> str:
-    return ";".join(_fmt_float(x) for x in xs)
+    return ";".join(map(fmt, xs))
 
 
 def _fmt_mode_list(ms) -> str:
-    return ";".join(f"{k1},{k2}:{_fmt_float(a)}" for (k1, k2), a in ms)
+    return ";".join(f"{k1},{k2}:{fmt(a)}" for (k1, k2), a in ms)
 
 
 def _parse_bool(text: str) -> bool:
@@ -80,9 +79,9 @@ def _parse_bool(text: str) -> bool:
 # type tag -> (parser, formatter)
 _TYPES = {
     "int": (int, str),
-    "float": (float, _fmt_float),
+    "float": (float, fmt),
     "str": (str.strip, str),
-    "bool": (_parse_bool, lambda b: "true" if b else "false"),
+    "bool": (_parse_bool, cell),
     "float_list": (_parse_float_list, _fmt_float_list),
     "mode_list": (_parse_mode_list, _fmt_mode_list),
 }
@@ -126,8 +125,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "lambda_factor": ("float", None, "positive"),
     },
     "geometry": {
-        "m": ("int", 1, None),
-        "n": ("int", 1, None),
+        "m": ("int", 1, ">= 1"),
+        "n": ("int", 1, ">= 1"),
         "ell1": ("float", None, "positive"),
         "ell2": ("float", None, "positive"),
         "ell2_factor": ("float", 1.0, "positive"),
@@ -359,6 +358,13 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
         if not math.isfinite(amp):
             raise ConfigError(f"[simulation] ic_modes entry {k1},{k2} has a non-finite "
                               f"amplitude {amp}", lines.get(("simulation", "ic_modes")))
+    if cfg.kind in _READ_BY["simulation"]:
+        for k1, k2 in record_modes(m, n):
+            if k1 >= sim["n1"] or k2 >= sim["n2"]:
+                key = "m" if k1 >= sim["n1"] else "n"  # k1 is a multiple of m, k2 of n
+                raise ConfigError(f"[geometry] {key} = {geo[key]}: the recorded mode {k1},{k2} "
+                                  f"lies outside the {sim['n1']}x{sim['n2']} [simulation] grid",
+                                  lines.get(("geometry", key)))
     # the kinds that draw random initial data, and the settings under which they do
     random_ic = cfg.data["simulation"]["ic_kind"] == "random"
     draws = {"simulate": random_ic, "simulate-full": random_ic, "sweep": True,
@@ -377,7 +383,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             continue
         lines.append(f"[{sec}]")
         for key in keys:
-            _, fmt = _TYPES[SCHEMA[sec][key][0]]
-            lines.append(f"{key} = {fmt(cfg.data[sec][key])}")
+            _, write = _TYPES[SCHEMA[sec][key][0]]
+            lines.append(f"{key} = {write(cfg.data[sec][key])}")
         lines.append("")
     return "\n".join(lines)

@@ -1,19 +1,43 @@
-"""Plain-text output writers.
+"""Plain-text output: the one text format of every table the package writes.
 
-All numeric output uses 17 significant digits so files are bit-stable across
-reruns and sufficient to reconstruct the float64 values exactly.  Files are
-always rewritten whole; nothing appends.
+A table cell is written by :func:`cell` and a table by :func:`tsv`.  Every
+float uses 17 significant digits (:func:`fmt`), so files are bit-stable
+across reruns and sufficient to reconstruct the float64 values exactly.
+Files are always rewritten whole; nothing appends.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .transforms import GridField
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def cell(v) -> str:
+    """One value as table text: a str as it is, a bool (numpy's too) as
+    ``true``/``false``, an int through ``str`` (every digit kept), and
+    any other number through :func:`fmt`."""
+    if isinstance(v, float):  # first: the bulk of every table
+        return fmt(v)
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return fmt(v)
+
+
+def tsv(rows) -> str:
+    """Rows of values as tab-separated lines of :func:`cell` text, each
+    ending in a newline."""
+    return "".join(["\t".join(map(cell, row)) + "\n" for row in rows])
 
 
 def write_text(path: str, text: str) -> None:
@@ -36,17 +60,9 @@ def snapshot_text(field: GridField, t: float) -> str:
 def series_text(diag) -> str:
     """Mode series as tab-separated values with named columns."""
     cols = ["t", "l2"] + [f"y_{k1}_{k2}" for (k1, k2) in diag.mode_series]
-    lines = ["\t".join(cols)]
-    series = list(diag.mode_series.values())
-    for i, t in enumerate(diag.times):
-        row = [fmt(t), fmt(diag.l2_series[i])] + [fmt(s[i]) for s in series]
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    return tsv([cols, *zip(diag.times, diag.l2_series, *diag.mode_series.values())])
 
 
 def trajectory_text(traj) -> str:
     """Planar trajectory as tab-separated values."""
-    lines = ["t\ty1\ty2"]
-    for t, (y1, y2) in zip(traj.times, traj.states):
-        lines.append(f"{fmt(t)}\t{fmt(y1)}\t{fmt(y2)}")
-    return "\n".join(lines) + "\n"
+    return tsv([("t", "y1", "y2"), *zip(traj.times, *traj.states.T)])

@@ -96,9 +96,6 @@ class ReducedCoefficients:
     rho_star: float
     m: int
     n: int
-    mu: float
-    alpha: float
-    lam: float
     frak_b1_formula: float
     frak_b2_formula: float
     frak_b1_paper: float
@@ -229,9 +226,6 @@ def cubic_coefficients(
         rho_star=r1,
         m=m,
         n=n,
-        mu=p.mu,
-        alpha=p.alpha,
-        lam=p.lam,
         frak_b1_formula=fb1,
         frak_b2_formula=fb2,
         frak_b1_paper=pb1,

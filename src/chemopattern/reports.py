@@ -5,16 +5,17 @@ The TSV schema is one header line
 
     check<TAB>expected<TAB>observed<TAB>tolerance<TAB>pass
 
-followed by one line per check and a final line ``overall<TAB>pass|fail``.
-Floats are written with 17 significant digits; no timestamps, so files are
-byte-stable across reruns.
+followed by one line per check, whose pass cell is ``true`` or ``false``,
+and a final line ``overall<TAB><TAB><TAB><TAB>true|false``.  Values become
+text through :func:`output.cell` (floats with 17 significant digits); no
+timestamps, so files are byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .output import fmt
+from .output import cell, fmt, tsv
 
 
 @dataclass
@@ -38,7 +39,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, expected, observed, tolerance, passed: bool, note: str = "") -> Check:
-        c = Check(name, _s(expected), _s(observed), _s(tolerance), bool(passed), note)
+        c = Check(name, cell(expected), cell(observed), cell(tolerance), bool(passed), note)
         self.checks.append(c)
         return c
 
@@ -70,17 +71,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_tsv(self) -> str:
-        lines = ["check\texpected\tobserved\ttolerance\tpass"]
-        for c in self.checks:
-            lines.append("\t".join([c.name, c.expected, c.observed, c.tolerance,
-                                    "true" if c.passed else "false"]))
-        lines.append(f"overall\t\t\t\t{'true' if self.overall else 'false'}")
-        return "\n".join(lines) + "\n"
-
-
-def _s(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return fmt(v)
-    return str(v)
+        return tsv([("check", "expected", "observed", "tolerance", "pass"),
+                    *((c.name, c.expected, c.observed, c.tolerance, c.passed)
+                      for c in self.checks),
+                    ("overall", "", "", "", self.overall)])

@@ -46,6 +46,7 @@ run is bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -124,6 +125,13 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def record_modes(m: int, n: int) -> tuple[ModeIndex, ...]:
+    """The modes a run records: the critical pair (m, n), (0, 2n) plus the
+    five slaved modes (deduplicated, ordered)."""
+    return tuple(dict.fromkeys([(m, n), (0, 2 * n), (0, 0), (2 * m, 0), (m, 3 * n),
+                                (0, 4 * n), (2 * m, 2 * n)]))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one simulation run."""
@@ -150,20 +158,14 @@ class SimConfig:
         for name in ("dt", "t_end", "record_interval", "steady_window"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for k1, k2 in record_modes(self.mode_m, self.mode_n):
+            if not (0 <= k1 < self.n1 and 0 <= k2 < self.n2):
+                raise ValueError(f"recorded mode {(k1, k2)} lies outside the "
+                                 f"{self.n1}x{self.n2} grid")
 
     @property
     def critical_pair(self) -> tuple[ModeIndex, ModeIndex]:
         return (self.mode_m, self.mode_n), (0, 2 * self.mode_n)
-
-    def default_record_modes(self) -> tuple[ModeIndex, ...]:
-        """Critical pair plus the five slaved modes (deduplicated, ordered)."""
-        m, n = self.mode_m, self.mode_n
-        modes = [(m, n), (0, 2 * n), (0, 0), (2 * m, 0), (m, 3 * n), (0, 4 * n), (2 * m, 2 * n)]
-        out: list[ModeIndex] = []
-        for k in modes:
-            if k not in out:
-                out.append(k)
-        return tuple(out)
 
 
 @dataclass
@@ -281,9 +283,15 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _dphi1(s: np.ndarray) -> np.ndarray:
-    """phi1'(s) = (exp(s)*(s - 1) + 1)/s^2, stable near s = 0."""
-    return np.where(np.abs(s) < 1e-5, 0.5 + s / 3.0,
-                    (np.exp(s) * (s - 1.0) + 1.0) / np.where(s == 0, 1.0, s) ** 2)
+    """phi1'(s) = (exp(s)*(s - 1) + 1)/s^2.  For |s| < 1, where that closed
+    form cancels, it is the Taylor series sum_j (j + 1) s^j/(j + 2)! through
+    j = 17, whose tail there is below 1e-16 of the sum."""
+    series = np.zeros_like(s)
+    for j in reversed(range(18)):
+        series = series * s + (j + 1) / math.factorial(j + 2)
+    small = np.abs(s) < 1.0
+    safe = np.where(small, 1.0, s)
+    return np.where(small, series, (np.exp(safe) * (safe - 1.0) + 1.0) / safe ** 2)
 
 
 def _block_function(blocks, h: float, f, df):
@@ -399,7 +407,8 @@ class _Recorder:
         self.cfg = cfg
         self.every = max(1, int(round(cfg.record_interval / cfg.dt)))
         self.times: list[float] = []
-        self.series: dict[ModeIndex, list[float]] = {k: [] for k in cfg.default_record_modes()}
+        self.series: dict[ModeIndex, list[float]] = {
+            k: [] for k in record_modes(cfg.mode_m, cfg.mode_n)}
         self.l2: list[float] = []
         self.snapshots: list[tuple[float, GridField]] = []
         self._snap_left = sorted(cfg.snapshot_times)

@@ -32,7 +32,7 @@ from .core import (
     PhysicalParams,
 )
 from .fitting import fit_saturation, fit_slaving, branch_steady_amplitude
-from .output import fmt, series_text, snapshot_text, trajectory_text, write_text
+from .output import fmt, series_text, snapshot_text, trajectory_text, tsv, write_text
 from .parallel import map_in_order
 from .planar import attractor_graph, basin_survey, integrate
 from .reduction import (
@@ -112,65 +112,54 @@ def run_linear(cfg: ExperimentConfig) -> dict[str, str]:
     """Critical-coupling search and growth-rate tables; writes two files."""
     p, g, crit, m, n = resolve_setup(cfg)
     k_max = cfg.get("geometry", "k_max")
-    lines = [
-        "quantity\tvalue",
-        f"lambda_c\t{fmt(crit.lambda_c)}",
-        f"critical_modes\t{_modes_str(crit.critical_modes)}",
-        f"rho_star\t{fmt(crit.rho_star)}",
-        f"rho_star_continuum\t{fmt(crit.rho_star_continuum)}",
-        f"lambda_c_continuum\t{fmt(crit.lambda_c_continuum)}",
-        f"lambda\t{fmt(p.lam)}",
+    crit_rows = [
+        ("quantity", "value"),
+        ("lambda_c", crit.lambda_c),
+        ("critical_modes", _modes_str(crit.critical_modes)),
+        ("rho_star", crit.rho_star),
+        ("rho_star_continuum", crit.rho_star_continuum),
+        ("lambda_c_continuum", crit.lambda_c_continuum),
+        ("lambda", p.lam),
     ]
-    crit_text = "\n".join(lines) + "\n"
 
     factors = cfg.get("linear", "lambda_factors")
-    rows = ["k1\tk2\trho" + "".join(f"\tsigma@{fmt(f)}x\tsign@{fmt(f)}x" for f in factors)]
+    rows = [["k1", "k2", "rho"]
+            + [c for f in factors for c in (f"sigma@{fmt(f)}x", f"sign@{fmt(f)}x")]]
     for k1 in range(k_max + 1):
         for k2 in range(k_max + 1):
             if k1 == 0 and k2 == 0:
                 continue
             r = rho((k1, k2), g)
-            cells = [str(k1), str(k2), fmt(r)]
+            row = [k1, k2, r]
             for f in factors:
                 pf = ModelParams(p.mu, p.alpha, crit.lambda_c * f)
                 s = sigma(r, pf)
-                cells.append(fmt(s))
-                cells.append("0" if abs(s) <= 1e-10 * max(1.0, pf.lam) else ("+" if s > 0 else "-"))
-            rows.append("\t".join(cells))
-    table_text = "\n".join(rows) + "\n"
+                row += [s, "0" if abs(s) <= 1e-10 * max(1.0, pf.lam) else ("+" if s > 0 else "-")]
+            rows.append(row)
 
-    return _write(cfg, {"linear_critical.tsv": crit_text, "linear_sigma.tsv": table_text})
+    return _write(cfg, {"linear_critical.tsv": tsv(crit_rows), "linear_sigma.tsv": tsv(rows)})
 
 
 def run_reduce(cfg: ExperimentConfig) -> dict[str, str]:
     """Reduced coefficients (both conventions), equilibria, transition verdict."""
     p, g, crit, m, n = resolve_setup(cfg)
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
-    lines = ["quantity\tvalue"]
-    for name, val in [
+    coeff_rows = [
+        ("quantity", "value"),
         ("sigma1", rc.sigma1), ("sigma2", rc.sigma2), ("a_q", rc.frak_a),
         ("a_c", rc.a_c), ("b1_q", rc.b1_q), ("b2_q", rc.b2_q),
         ("kappa1", rc.kappa1), ("kappa2", rc.kappa2), ("rho_star", rc.rho_star),
         ("b1_formula", rc.frak_b1_formula), ("b2_formula", rc.frak_b2_formula),
         ("b1_paper", rc.frak_b1_paper), ("b2_paper", rc.frak_b2_paper),
         ("b1_active", rc.frak_b1), ("b2_active", rc.frak_b2),
-    ]:
-        lines.append(f"{name}\t{fmt(val)}")
-    lines.append(f"convention\t{rc.convention}")
-    lines.append(f"transition\t{transition_type(rc)}")
-    coeff_text = "\n".join(lines) + "\n"
+        ("convention", rc.convention), ("transition", transition_type(rc)),
+    ]
+    eq_rows = [("y1", "y2", "pattern", "stability", "eig1", "eig2", "marginal")]
+    eq_rows += [(*e.y, e.pattern_class, e.stability, *e.jacobian_eigenvalues, e.marginal)
+                for e in equilibria(rc)]
 
-    eq_rows = ["y1\ty2\tpattern\tstability\teig1\teig2\tmarginal"]
-    for e in equilibria(rc):
-        eq_rows.append("\t".join([
-            fmt(e.y[0]), fmt(e.y[1]), e.pattern_class, e.stability,
-            fmt(e.jacobian_eigenvalues[0]), fmt(e.jacobian_eigenvalues[1]),
-            "true" if e.marginal else "false",
-        ]))
-    eq_text = "\n".join(eq_rows) + "\n"
-
-    return _write(cfg, {"reduce_coefficients.tsv": coeff_text,
-                        "reduce_equilibria.tsv": eq_text})
+    return _write(cfg, {"reduce_coefficients.tsv": tsv(coeff_rows),
+                        "reduce_equilibria.tsv": tsv(eq_rows)})
 
 
 def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
@@ -182,29 +171,25 @@ def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
     survey = basin_survey(rc, o["ray_radius"], o["n_rays"], t_end=o["t_end"], dt=o["dt"])
     desc = attractor_graph(rc)
 
-    basin_rows = ["angle\tlabel\ty1\ty2"]
+    basin_rows = [("angle", "label", "y1", "y2")]
     for theta in sorted(survey):
         e = survey[theta]
-        if e is None:
-            basin_rows.append(f"{fmt(theta)}\tunresolved\t\t")
-        else:
-            basin_rows.append(f"{fmt(theta)}\t{e.pattern_class}\t{fmt(e.y[0])}\t{fmt(e.y[1])}")
+        basin_rows.append((theta, "unresolved", "", "") if e is None else
+                          (theta, e.pattern_class, *e.y))
 
-    graph_rows = [f"is_circle\t{'true' if desc.is_circle else 'false'}",
-                  "from_y1\tfrom_y2\tfrom_class\tto_y1\tto_y2\tto_class"]
+    graph_rows = [("is_circle", desc.is_circle),
+                  ("from_y1", "from_y2", "from_class", "to_y1", "to_y2", "to_class")]
     for i, j in sorted(set(desc.connections)):
         a, b = desc.equilibria[i], desc.equilibria[j]
-        graph_rows.append("\t".join([fmt(a.y[0]), fmt(a.y[1]), a.pattern_class,
-                                     fmt(b.y[0]), fmt(b.y[1]), b.pattern_class]))
-    for note in desc.notes:
-        graph_rows.append(f"note\t{note}")
+        graph_rows.append((*a.y, a.pattern_class, *b.y, b.pattern_class))
+    graph_rows += [("note", note) for note in desc.notes]
     if max(rc.sigma1, rc.sigma2) <= 0 and all(e.pattern_class == "trivial" for e in desc.equilibria):
-        graph_rows.append(f"note\tsigma1 = {fmt(rc.sigma1)}, sigma2 = {fmt(rc.sigma2)} <= 0: "
-                          "no nontrivial equilibria exist at this coupling")
+        graph_rows.append(("note", f"sigma1 = {fmt(rc.sigma1)}, sigma2 = {fmt(rc.sigma2)} <= 0: "
+                                   "no nontrivial equilibria exist at this coupling"))
 
     return _write(cfg, {"ode_trajectory.tsv": trajectory_text(traj),
-                        "ode_basins.tsv": "\n".join(basin_rows) + "\n",
-                        "ode_attractor.tsv": "\n".join(graph_rows) + "\n"})
+                        "ode_basins.tsv": tsv(basin_rows),
+                        "ode_attractor.tsv": tsv(graph_rows)})
 
 
 def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
@@ -239,18 +224,17 @@ def run_simulate(cfg: ExperimentConfig) -> dict[str, str]:
     # ends the run before later requested snapshot times
     files["snapshot_final.txt"] = snapshot_text(transform_inverse(final), diag.times[-1])
     (km, kn), (k0, k2n) = sim_cfg.critical_pair
-    summary = [
-        "quantity\tvalue",
-        f"fingerprint\t{diag.final_fingerprint}",
-        f"steady\t{'true' if diag.steady else 'false'}",
-        f"t_final\t{fmt(diag.times[-1])}",
-        f"l2_final\t{fmt(diag.l2_series[-1])}",
-        f"y1_final\t{fmt(final.mode((km, kn)))}",
-        f"y2_final\t{fmt(final.mode((k0, k2n)))}",
-        f"lambda\t{fmt(p.lam)}",
-        f"lambda_c\t{fmt(crit.lambda_c)}",
-    ]
-    files["summary.tsv"] = "\n".join(summary) + "\n"
+    files["summary.tsv"] = tsv([
+        ("quantity", "value"),
+        ("fingerprint", diag.final_fingerprint),
+        ("steady", diag.steady),
+        ("t_final", diag.times[-1]),
+        ("l2_final", diag.l2_series[-1]),
+        ("y1_final", final.mode((km, kn))),
+        ("y2_final", final.mode((k0, k2n))),
+        ("lambda", p.lam),
+        ("lambda_c", crit.lambda_c),
+    ])
     return _write(cfg, files)
 
 
@@ -263,15 +247,15 @@ def run_sweep(cfg: ExperimentConfig) -> dict[str, str]:
     byte-identical, whatever the number of CPUs.
     """
     sw = cfg.data["sweep"]
-    header = ("geometry_factor\tlambda_factor\tlambda_c\tcritical_modes\trho_star\t"
-              "a_q\tb1_formula\tb2_formula\tb1_paper\tb2_paper\tn_equilibria\t"
-              "fingerprint\tstatus")
+    header = ("geometry_factor", "lambda_factor", "lambda_c", "critical_modes", "rho_star",
+              "a_q", "b1_formula", "b2_formula", "b1_paper", "b2_paper", "n_equilibria",
+              "fingerprint", "status")
     cells = [(gf, lf) for gf in sw["geometry_factors"] for lf in sw["lambda_factors"]]
     rows = map_in_order(lambda c: _sweep_cell(cfg, *c), enumerate(cells, start=1))
-    return _write(cfg, {"sweep_atlas.tsv": "\n".join([header] + rows) + "\n"})
+    return _write(cfg, {"sweep_atlas.tsv": tsv([header, *rows])})
 
 
-def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) -> str:
+def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) -> tuple:
     """The atlas row of sweep cell number ``cell`` (from 1, which offsets
     the seed) at (geometry factor, coupling factor) ``factors``."""
     sw = cfg.data["sweep"]
@@ -289,16 +273,11 @@ def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) 
             ic=InitialCondition(kind="random", seed=(cfg.seed or 0) + cell,
                                 amplitude=sw["ic_amplitude"]))
         diag, _ = simulate(sim_cfg)
-        return "\t".join([
-            fmt(gf), fmt(lf), fmt(crit.lambda_c), _modes_str(crit.critical_modes),
-            fmt(crit.rho_star), fmt(rc.frak_a),
-            fmt(rc.frak_b1_formula), fmt(rc.frak_b2_formula),
-            fmt(rc.frak_b1_paper), fmt(rc.frak_b2_paper),
-            str(n_eq), diag.final_fingerprint, "ok",
-        ])
+        return (gf, lf, crit.lambda_c, _modes_str(crit.critical_modes), crit.rho_star,
+                rc.frak_a, rc.frak_b1_formula, rc.frak_b2_formula,
+                rc.frak_b1_paper, rc.frak_b2_paper, n_eq, diag.final_fingerprint, "ok")
     except Exception as exc:  # per-cell failures recorded, sweep continues
-        return "\t".join([fmt(gf), fmt(lf)] + [""] * 10
-                         + [f"error:{type(exc).__name__}:{exc}"])
+        return (gf, lf, *[""] * 10, f"error:{type(exc).__name__}:{exc}")
 
 
 def _modes_str(modes) -> str:
@@ -328,8 +307,7 @@ def _ring_rows(rep: VerificationReport, rc, eqs, ring_name: str) -> None:
     rep.add("Jacobian determinant sign rules", "hold", "hold" if hold else "violated",
             "sign", hold)
     desc = attractor_graph(rc)
-    rep.add(ring_name, "true", "true" if desc.is_circle else "false", "graph", desc.is_circle,
-            note="; ".join(desc.notes))
+    rep.add(ring_name, True, desc.is_circle, "graph", desc.is_circle, note="; ".join(desc.notes))
 
 
 def _nearest_amplitude_mismatch(y1: float, y2: float, eqs) -> tuple[float, str]:
@@ -401,11 +379,11 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
         cfg, lambda_factor=v["lambda_factor"] if factor is None else factor)
 
     if abs(p.mu - 8.0 * p.alpha) > 1e-12 * p.mu:
-        rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", False,
+        rep.add("hypothesis mu = 8*alpha", 8.0 * p.alpha, p.mu, "abs 1e-12", False,
                 note="the balanced-diffusion hypothesis mu = 8*alpha is violated; "
                      "remaining checks skipped")
         return
-    rep.add("hypothesis mu = 8*alpha", fmt(8.0 * p.alpha), fmt(p.mu), "abs 1e-12", True)
+    rep.add("hypothesis mu = 8*alpha", 8.0 * p.alpha, p.mu, "abs 1e-12", True)
 
     rep.add_numeric("lambda_c = 9*mu/4", 2.25 * p.mu, crit.lambda_c, 1e-10)
     rep.add("critical modes", _modes_str({(m, n), (0, 2 * n)}),
@@ -415,7 +393,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
     lam_factor = p.lam / crit.lambda_c
     p_c = ModelParams(p.mu, p.alpha, crit.lambda_c)
     rc_c = cubic_coefficients(p_c, g, m, n, convention=cfg.convention)
-    rep.add("quadratic coefficient a_q = 0", "0", fmt(rc_c.frak_a), "abs 1e-12",
+    rep.add("quadratic coefficient a_q = 0", "0", rc_c.frak_a, "abs 1e-12",
             abs(rc_c.frak_a) <= 1e-12)
     rep.add("transition type", "type-1", transition_type(rc_c), "exact",
             transition_type(rc_c) == "type-1")
@@ -438,7 +416,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
     rc = replace(rc_c.with_convention(cfg.convention), sigma1=sig_work, sigma2=sig_work)
     eqs = equilibria(rc)
     nontrivial = [e for e in eqs if e.pattern_class != "trivial"]
-    rep.add("nontrivial equilibria", "8", str(len(nontrivial)), "count",
+    rep.add("nontrivial equilibria", "8", len(nontrivial), "count",
             len(nontrivial) == 8)
     census = _stability_census(eqs)
     stated = census.get(("hexagon", "stable-node"), 0) == 4 and \
@@ -470,7 +448,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
         cand_f, cand_p = rc.frak_b1_formula, rc.frak_b1_paper
         verdict = _arbitrate(fit_roll.combination_value, cand_f, cand_p)
         gap = abs(cand_f - cand_p) / min(abs(cand_f), abs(cand_p))
-        rep.add("roll-branch b1 candidates differ by > 30%", "> 0.3", fmt(gap), "rel",
+        rep.add("roll-branch b1 candidates differ by > 30%", "> 0.3", gap, "rel",
                 gap > 0.3)
         rep.add("roll-branch arbitration decisive", "formula or paper", verdict,
                 "rel 0.1", verdict != "indecisive",
@@ -502,7 +480,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
                                 ("slaving gain kappa1", fit.kappa1_hat, rc_c.kappa1),
                                 ("slaving gain kappa2", fit.kappa2_hat, rc_c.kappa2)]:
             if got is None:
-                rep.add(name, fmt(want), "degenerate", "rel 0.1", False,
+                rep.add(name, want, "degenerate", "rel 0.1", False,
                         note="; ".join(fit.degenerate))
             else:
                 rep.add_numeric(name, want, got, 0.10, relative=True)
@@ -550,7 +528,7 @@ def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
     p, g, _crit, m, n = resolve_setup(cfg, 1.0 + v["ell2_perturb"], 1.0 + v["lambda_perturb"])
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
 
-    rep.add("quadratic coefficient nonzero", "a_q != 0", fmt(rc.frak_a), "nonzero",
+    rep.add("quadratic coefficient nonzero", "a_q != 0", rc.frak_a, "nonzero",
             rc.frak_a != 0.0)
     rep.add("transition type", "type-1", transition_type(rc), "exact",
             transition_type(rc) == "type-1")
@@ -568,10 +546,10 @@ def run_verify_theorem2(cfg: ExperimentConfig) -> VerificationReport:
         rect = any(c == "rectangle" for c, _s in census)
         rep.add("no pure-rectangle equilibrium", "absent", "present" if rect else "absent",
                 "exact", not rect)
-        rep.add("nontrivial equilibria", "8", str(len(nontrivial)), "count",
+        rep.add("nontrivial equilibria", "8", len(nontrivial), "count",
                 len(nontrivial) == 8)
         n_mixed = sum(k for (c, _s2), k in census.items() if c == "mixed")
-        rep.add("mixed-pattern equilibria", "2", str(n_mixed), "count", n_mixed == 2)
+        rep.add("mixed-pattern equilibria", "2", n_mixed, "count", n_mixed == 2)
         _ring_rows(rep, rc, eqs, "ring attractor")
 
         disc = 2.0 * rc.frak_b2 - rc.frak_b1

@@ -251,6 +251,34 @@ def _pair_phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
 
 
+def _pair_phi1_prime(s: np.ndarray) -> np.ndarray:
+    """phi1'(s), evaluated as the package does for the byte comparison: the
+    Taylor series through s^17 by Horner's rule for |s| < 1, else the closed
+    form (exp(s)*(s - 1) + 1)/s^2."""
+    series = np.zeros_like(s)
+    for j in reversed(range(18)):
+        series = series * s + (j + 1) / math.factorial(j + 2)
+    small = np.abs(s) < 1.0
+    safe = np.where(small, 1.0, s)
+    return np.where(small, series, (np.exp(safe) * (safe - 1.0) + 1.0) / safe ** 2)
+
+
+def phi1_prime_exact(s: float) -> float:
+    """phi1'(s) = sum_j (j + 1) s^j / (j + 2)!, summed exactly in rationals
+    from the binary value of ``s`` and rounded once: no cancellation at any
+    s.  Summing stops past the largest term, once a term is below 1e-40 of
+    the sum."""
+    x, total, power, factorial, j = Fraction(s), Fraction(0), Fraction(1), 2, 0
+    while True:
+        term = (j + 1) * power / factorial
+        total += term
+        if j > 2.0 * abs(s) + 2.0 and abs(term) <= abs(total) / 10 ** 40:
+            return float(total)
+        j += 1
+        power *= x
+        factorial *= j + 2
+
+
 def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
     """exp(A*dt) and phi1(A*dt) for a field of 2x2 blocks with real spectrum,
     by f(A) = avg(f)|_eigs * I + divdiff(f)|_eigs * (A - mean(eigs)*I), with
@@ -270,9 +298,7 @@ def _pair_matrix_functions(A11, A12, A21, A22, dt: float):
                 (dd * A21 * dt, avg + dd * (A22 * dt - s)))
 
     E = apply(np.exp(lam1), np.exp(lam2), np.exp(s))
-    phi1_prime_s = np.where(np.abs(s) < 1e-5, 0.5 + s / 3.0,
-                            (np.exp(s) * (s - 1.0) + 1.0) / np.where(s == 0, 1.0, s) ** 2)
-    P = apply(_pair_phi1(lam1), _pair_phi1(lam2), phi1_prime_s)
+    P = apply(_pair_phi1(lam1), _pair_phi1(lam2), _pair_phi1_prime(s))
     return E, P
 
 

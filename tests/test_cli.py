@@ -160,6 +160,24 @@ class TestCliBasics:
         assert err.startswith("error: ") and err.count("\n") == 1 and "not a resonant rectangle" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["simulate", "reduce"])
+    def test_mode_below_one_with_explicit_geometry_is_a_config_error(self, tmp_path, capsys,
+                                                                     kind):
+        cfg = write(tmp_path / "m.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
+                    "[geometry]\nm = -1\nell1 = 4\nell2 = 5\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: line 5: [geometry] m must be >= 1, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_recorded_mode_off_the_grid_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "m.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
+                    "[geometry]\nm = 20\nell1 = 4\nell2 = 5\n[simulation]\nn1 = 32\nn2 = 32\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: line 5: [geometry] m = 20: the recorded mode "
+                                           "40,0 lies outside the 32x32 [simulation] grid\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
     def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys, kind):
         cfg = write(tmp_path / "blow.cfg", f"[experiment]\nkind = {kind}\nseed = 3\n"
@@ -241,6 +259,14 @@ class TestDeterministicOutputs:
         assert main(["sweep", "--config", cfg2, "--out", str(tmp_path / "c")]) == 0
         lines = (tmp_path / "c" / "sweep_atlas.tsv").read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("geometry_factor")
+
+    def test_sweep_cell_with_a_mode_off_its_grid_is_an_error_row(self, tmp_path):
+        cfg = write(tmp_path / "sw.cfg", "[experiment]\nkind = sweep\nseed = 5\n"
+                    "[geometry]\nm = 20\n[sweep]\nlambda_factors = 1.02\ngeometry_factors = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        row = (tmp_path / "o" / "sweep_atlas.tsv").read_text().splitlines()[1]
+        assert row == "1\t1.02" + "\t" * 11 + ("error:ValueError:recorded mode (40, 0) lies "
+                                                "outside the 32x32 grid")
 
 
 class TestOdeCli:

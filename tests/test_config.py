@@ -218,6 +218,33 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^line {line}: \[geometry\] \(m, n\) = .* must be coprime"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kind", ["linear", "simulate", "sweep"])
+    @pytest.mark.parametrize("entry", ["m = -1", "m = 0", "n = -2"])
+    def test_modes_are_at_least_one_with_any_geometry(self, kind, entry):
+        key, _, value = entry.partition(" = ")
+        geometry = "" if kind == "sweep" else "ell1 = 4\nell2 = 7\n"
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[geometry]\n{entry}\n{geometry}"
+        message = ("must be coprime" if kind == "sweep"
+                   else re.escape(f"[geometry] {key} must be >= 1, got {value}"))
+        with pytest.raises(ConfigError, match=rf"^line 5: .*{message}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_recorded_modes_must_lie_on_the_simulation_grid(self, kind):
+        # a run records up to (2m, 2n) and (0, 4n): 2m < n1 and 4n < n2
+        text = (f"[experiment]\nkind = {kind}\nseed = 1\n[geometry]\nm = {{}}\nn = {{}}\n"
+                "ell1 = 4\nell2 = 7\n[simulation]\nn1 = 32\nn2 = 64\n")
+        parse_config(text.format(15, 15))
+        for m, n, line, message in [
+                (16, 15, 5, "[geometry] m = 16: the recorded mode 32,0 lies outside the 32x64"),
+                (15, 16, 6, "[geometry] n = 16: the recorded mode 0,64 lies outside the 32x64")]:
+            with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(message)} "):
+                parse_config(text.format(m, n))
+
+    def test_kinds_that_record_no_modes_leave_their_range_open(self):
+        cfg = parse_config("[experiment]\nkind = reduce\n[geometry]\nm = 40\nn = 17\n")
+        assert (cfg.get("geometry", "m"), cfg.get("geometry", "n")) == (40, 17)
+
     def test_explicit_geometry_allows_any_modes(self):
         cfg = parse_config("[experiment]\nkind = linear\n[geometry]\nm = 2\nn = 2\n"
                            "ell1 = 4\nell2 = 7\n")
@@ -319,8 +346,6 @@ class TestRoundTrip:
 
 #: rows of a numeric type without a requirement, each with the reason
 UNCONSTRAINED = {
-    ("geometry", "m"): "coprime (m, n) is a rule across keys",
-    ("geometry", "n"): "coprime (m, n) is a rule across keys",
     **{("physical", key): "the block rule checks the seven entries together"
        for key in SCHEMA["physical"]},
     ("sweep", "lambda_factors"): "a factor a cell cannot run becomes that cell's error row",

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -43,6 +44,7 @@ from oracles import (
     pair_midpoint_step,
     pair_nonlinear_by_dct,
     pair_nonlinear_by_quadrature,
+    phi1_prime_exact,
     scalar_midpoint_step,
 )
 
@@ -369,6 +371,13 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
             sim_config(**{name: value})
 
+    @pytest.mark.parametrize("m, n, mode", [(20, 1, (40, 0)), (16, 1, (32, 0)),
+                                            (1, 8, (0, 32)), (-1, 1, (-1, 1))])
+    def test_rejects_recorded_modes_off_the_grid(self, m, n, mode):
+        with pytest.raises(ValueError, match=rf"^recorded mode {re.escape(str(mode))} lies "
+                                             "outside the 32x32 grid$"):
+            sim_config(mode_m=m, mode_n=n)
+
     def test_random_ic_requires_seed(self):
         cfg = sim_config(ic=InitialCondition(kind="random", seed=None))
         with pytest.raises(ValueError, match="seed"):
@@ -650,3 +659,12 @@ class TestModels:
             assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
         if alpha == 0.5:
             assert blocks[0][0][0, 0] == blocks[1][1][0, 0] and blocks[0][1][0, 0] == 0.0
+
+    def test_dphi1_is_accurate_for_every_s(self):
+        # against the series summed exactly: near 0 (where the closed form
+        # cancels), on both sides of the series cut at |s| = 1, and far out
+        tiny = np.logspace(-12, -0.1, 60)
+        s = np.concatenate([[0.0], tiny, -tiny, np.linspace(-3.0, 3.0, 121),
+                            [-0.999999, 1.0 - 1e-12, 1.0 + 1e-12, -30.0, -200.0, 40.0]])
+        want = np.array([phi1_prime_exact(x) for x in s])
+        assert np.all(np.abs(_dphi1(s) - want) <= 1e-14 * np.abs(want))
