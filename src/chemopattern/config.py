@@ -159,7 +159,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "steady_window": ("float", 50.0, "positive"),
     },
     "verify": {
-        "lambda_factor": ("float", 1.02, "positive"),
         "subcritical_factor": ("float", 0.99, "positive"),
         "sigma_list": ("float_list", (0.02, 0.05, 0.1), "positive"),
         "sigma_list_hex": ("float_list", (0.01, 0.02, 0.04), "positive"),
@@ -359,6 +358,10 @@ def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
             raise ConfigError(f"[simulation] ic_modes entry {k1},{k2} has a non-finite "
                               f"amplitude {amp}", lines.get(("simulation", "ic_modes")))
     if cfg.kind in _READ_BY["simulation"]:
+        if round(sim["t_end"] / sim["dt"]) < 1:
+            raise ConfigError(f"[simulation] t_end = {sim['t_end']:g} is at most half a step of "
+                              f"dt = {sim['dt']:g}: the run would take no step",
+                              lines.get(("simulation", "t_end"), lines.get(("simulation", "dt"))))
         for k1, k2 in record_modes(m, n):
             if k1 >= sim["n1"] or k2 >= sim["n2"]:
                 key = "m" if k1 >= sim["n1"] else "n"  # k1 is a multiple of m, k2 of n

@@ -506,12 +506,10 @@ def _is_alternating_ring(eq_list, nontrivial, connections, notes) -> bool:
     if len(set(connections)) != 8:
         notes.append(f"expected 8 distinct connections, found {len(set(connections))}")
         return False
-    # around the origin the eight points must alternate saddle/sink, and each
-    # saddle must connect to exactly its two angular neighbors
-    order = sorted(range(len(eq_list)),
-                   key=lambda i: math.atan2(eq_list[i].y[1], eq_list[i].y[0])
-                   if eq_list[i].pattern_class != "trivial" else math.inf)
-    ring = [i for i in order if eq_list[i].pattern_class != "trivial"]
+    # around the origin (equilibria lists the points in angular order) the
+    # eight must alternate saddle/sink, and each saddle must connect to
+    # exactly its two angular neighbors
+    ring = [i for i, e in enumerate(eq_list) if e.pattern_class != "trivial"]
     for pos in range(8):
         a, b = eq_list[ring[pos]], eq_list[ring[(pos + 1) % 8]]
         if a.stability == b.stability:

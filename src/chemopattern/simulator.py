@@ -33,12 +33,12 @@ Quadratic and cubic products are formed on a grid padded to twice the base
 resolution per axis (exact for a cubic nonlinearity), with gradient products
 rewritten through grad(u).grad(w) = (1/2)[Lap(uw) - u Lap(w) - w Lap(u)] so
 that only cosine syntheses of the fields and their Laplacians are needed:
-one batched synthesis and one batched analysis per right-hand side, through
-the plan (:class:`_RhsPlan`) each model builds once, so a step allocates
-only the state it returns.  Workspaces are reused from call to call, so a
-stepper or plan serves one thread: the standalone :func:`step` and
-:func:`nonlinear_rhs` keep a bounded cache of them per thread, and nothing
-they return aliases a workspace.
+one batched synthesis and one batched analysis per right-hand side, in the
+one right-hand side both models share (:class:`_RhsPlan`, built once per
+model), so a step allocates only the state it returns.  Workspaces are
+reused from call to call, so a stepper or plan serves one thread: the
+standalone :func:`step` and :func:`nonlinear_rhs` keep a bounded cache of
+them per thread, and nothing they return aliases a workspace.
 
 Determinism: given an identical :class:`SimConfig` (including the seed) the
 run is bitwise reproducible.
@@ -158,6 +158,9 @@ class SimConfig:
         for name in ("dt", "t_end", "record_interval", "steady_window"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError(f"t_end = {self.t_end:g} is at most half a step of dt = "
+                             f"{self.dt:g}: the run would take no step")
         for k1, k2 in record_modes(self.mode_m, self.mode_n):
             if not (0 <= k1 < self.n1 and 0 <= k2 < self.n2):
                 raise ValueError(f"recorded mode {(k1, k2)} lies outside the "
@@ -181,13 +184,15 @@ class Diagnostics:
 
 
 class _RhsPlan:
-    """The transform side of one model's nonlinear right-hand side at one
-    resolution, built once: every workspace of the two batched transforms
-    and of the pointwise products, and their row ``views``.  The padded grid
-    is twice the base resolution per axis, on which the products of a cubic
-    nonlinearity are alias-free.  A subclass is one model: it adds the
-    generator ``blocks`` and the multipliers that stage the synthesized
-    fields from the coefficients.
+    """One model's nonlinear right-hand side at one resolution,
+    N = P(drift + U^2*(quad - alpha*U)) + half_rho*P(U*F): U, the cell
+    density, F, the attractant, and the model's other staged fields are
+    synthesized on a grid padded to twice the base resolution per axis
+    (alias-free for a cubic), P analyses back, and half_rho is the exact gain
+    of the Laplacian of the divergence term.  Its workspaces and their row
+    ``views`` are built once.  A subclass is one model: its generator
+    ``blocks``, ``_stage`` (U and F first), ``_drift``, ``alpha``, ``quad``
+    and ``half_rho``.
 
     A right-hand side then allocates no grid-sized memory.  (Each field is
     staged by its own multiplication: numpy buffers a broadcasting ufunc
@@ -208,17 +213,26 @@ class _RhsPlan:
         self.coeffs = np.empty((2, n1, n2))
         self.views = tuple(self.stage), tuple(self.grid), tuple(self.prod), tuple(self.coeffs)
 
-    def synthesize(self) -> np.ndarray:
-        """The staged fields on the padded grid (the ``grid`` workspace)."""
-        return coeffs_to_grid(self.stage, self.pad, self.grid, self.grid_rows)
-
-    def analyse(self) -> np.ndarray:
-        """The two products, truncated to the base resolution."""
-        return grid_to_coeffs(self.prod, self.shape, self.prod_rows, self.coeffs)
+    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The nonlinearity of the state ``(k, n1, n2)``, into ``out``
+        (default: a fresh array)."""
+        stage, grid, (p0, p1), (g, uf) = self.views
+        self._stage(state, stage)
+        coeffs_to_grid(self.stage, self.pad, self.grid, self.grid_rows)
+        U, F = grid[0], grid[1]
+        np.multiply(self.alpha, U, out=p1)
+        np.subtract(self.quad, p1, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.multiply(p1, U, out=p1)
+        np.add(self._drift(grid, p0), p1, out=p0)
+        np.multiply(U, F, out=p1)
+        grid_to_coeffs(self.prod, self.shape, self.prod_rows, self.coeffs)
+        return np.add(g, np.multiply(self.half_rho, uf, out=uf), out=out)
 
 
 class _ScalarRhs(_RhsPlan):
-    """The scalar model: the 1 x 1 blocks of sigma_k and :func:`nonlinear_rhs`."""
+    """The scalar model: the 1 x 1 blocks of sigma_k, and :func:`nonlinear_rhs`
+    with F = W, drift W*D and quad = lam/2 - 3*alpha."""
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
@@ -228,28 +242,18 @@ class _ScalarRhs(_RhsPlan):
         # the multipliers of w and of D = (lam/2)*(Lap(u) - u)
         self.gain, self.d_mult = helmholtz_gain(table, 1.0), -half_lam * (table + 1.0)
         self.alpha, self.quad = params.alpha, half_lam - 3.0 * params.alpha
-        self.half_lam_rho = half_lam * table
+        self.half_rho = half_lam * table
 
-    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The nonlinearity of the state ``(1, n1, n2)``, into ``out``
-        (default: a fresh array)."""
+    def _stage(self, state: np.ndarray, fields) -> None:
         c = state[0]
-        (u, w, d), (U, W, D), (p0, p1), (g, uw) = self.views
+        u, w, d = fields
         np.copyto(u, c)
         np.multiply(self.gain, c, out=w)
         np.multiply(self.d_mult, c, out=d)
-        self.synthesize()
-        # (lam/2)*(W*LapU - U*LapW) - 3*alpha*U^2 - alpha*U^3 with LapW = W - U
-        # is W*D + U^2*(lam/2 - 3*alpha - alpha*U)
-        np.multiply(self.alpha, U, out=p1)
-        np.subtract(self.quad, p1, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.multiply(W, D, out=p0)
-        np.add(p0, p1, out=p0)
-        np.multiply(U, W, out=p1)
-        self.analyse()
-        return np.add(g, np.multiply(self.half_lam_rho, uw, out=uw), out=out)
+
+    def _drift(self, grid, out: np.ndarray) -> np.ndarray:
+        _U, W, D = grid
+        return np.multiply(W, D, out=out)
 
 
 @lru_cache(maxsize=16)
@@ -266,10 +270,11 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
 
         (lam/2)*(w*Lap(u) - u*Lap(w)) - 3*alpha*u^2 - alpha*u^3 - (lam/2)*Lap(uw),
 
-    with Lap(w) = w - u.  Only u, w and Lap(u) are synthesized on the padded
-    grid, in one batched call; the pointwise part and the product uw are
-    projected back to the base resolution in another, and Lap(uw) is then the
-    exact diagonal multiplication by -rho_k.
+    with Lap(w) = w - u.  Only u, w and D = (lam/2)*(Lap(u) - u) are
+    synthesized on the padded grid, in one batched call; the pointwise part
+    w*D + u^2*(lam/2 - 3*alpha - alpha*u) and the product uw are projected
+    back to the base resolution in another, and Lap(uw) is then the exact
+    diagonal multiplication by -rho_k.
     """
     rhs = _cached_scalar_rhs(threading.get_ident(), u.shape, u.geometry, p)
     return SpectralField(rhs(u.coeffs[None]), u.geometry)
@@ -497,8 +502,9 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
 # ----------------------------------------------------------------------------
 
 class _PairRhs(_RhsPlan):
-    """The two-field model: the 2 x 2 blocks coupling (u_k, v_k) and the
-    nonlinear cell-density term."""
+    """The two-field model: the 2 x 2 blocks coupling (u_k, v_k), and the
+    cell-density term of :func:`nonlinear_rhs` with F = V, drift V*X - U*Y
+    (X = Lap(u)/2, Y = Lap(v)/2) and quad = -3*alpha."""
 
     def __init__(self, shape: tuple[int, int], geometry: DomainGeometry, params: ModelParams):
         table = rho_table(*shape, geometry)
@@ -509,30 +515,18 @@ class _PairRhs(_RhsPlan):
         self.alpha, self.quad = params.alpha, -3.0 * params.alpha
         self.half_rho = 0.5 * table
 
-    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """-grad(u).grad(v) - u*Lap(v) - 3*alpha*u^2 - alpha*u^3 of the state
-        ``(2, n1, n2)`` holding (u, v), through the product identity as in
-        :func:`nonlinear_rhs`, into ``out`` (default: a fresh array)."""
+    def _stage(self, state: np.ndarray, fields) -> None:
         cu, cv = state[0], state[1]
-        (u, v, x, y), (U, V, X, Y), (p0, p1), (nu, uv) = self.views
+        u, v, x, y = fields
         np.copyto(u, cu)
         np.copyto(v, cv)
         np.multiply(self.half_lap, cu, out=x)
         np.multiply(self.half_lap, cv, out=y)
-        # X = Lap(u)/2 and Y = Lap(v)/2
-        self.synthesize()
-        # 0.5*(V*LapU - U*LapV) - 3*alpha*U^2 - alpha*U^3
-        # is V*X - U*Y + U^2*(-3*alpha - alpha*U)
-        np.multiply(self.alpha, U, out=p1)
-        np.subtract(self.quad, p1, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.multiply(p1, U, out=p1)
-        np.multiply(V, X, out=p0)
-        np.subtract(p0, np.multiply(U, Y, out=Y), out=p0)
-        np.add(p0, p1, out=p0)
-        np.multiply(U, V, out=p1)
-        self.analyse()
-        return np.add(nu, np.multiply(self.half_rho, uv, out=uv), out=out)
+
+    def _drift(self, grid, out: np.ndarray) -> np.ndarray:
+        U, V, X, Y = grid
+        np.multiply(V, X, out=out)
+        return np.subtract(out, np.multiply(U, Y, out=Y), out=out)
 
 
 class _PairStepper(_Midpoint):

@@ -48,6 +48,9 @@ from .transforms import transform_inverse
 #: A fitted coefficient matches a convention's candidate within this relative distance.
 ARBITRATION_RTOL = 0.10
 
+#: verify-theorem1's coupling relative to the critical one where none is configured.
+THEOREM1_LAMBDA_FACTOR = 1.02
+
 # ----------------------------------------------------------------------------
 # configuration resolution
 # ----------------------------------------------------------------------------
@@ -374,9 +377,8 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
     """Add theorem1's rows to ``rep``; returns early where a hypothesis or
     the coupling leaves the remaining checks nothing to check."""
     v = cfg.data["verify"]
-    factor = cfg.get("model", "lambda_factor")
     p, g, crit, m, n = resolve_setup(
-        cfg, lambda_factor=v["lambda_factor"] if factor is None else factor)
+        cfg, lambda_factor=cfg.get("model", "lambda_factor") or THEOREM1_LAMBDA_FACTOR)
 
     if abs(p.mu - 8.0 * p.alpha) > 1e-12 * p.mu:
         rep.add("hypothesis mu = 8*alpha", 8.0 * p.alpha, p.mu, "abs 1e-12", False,
@@ -413,7 +415,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
     # coupling (where a_q = 0 exactly), growth rate taken at the working
     # coupling -- this is the system whose catalogue the analysis describes
     sig_work = sigma(crit.rho_star, p)
-    rc = replace(rc_c.with_convention(cfg.convention), sigma1=sig_work, sigma2=sig_work)
+    rc = replace(rc_c, sigma1=sig_work, sigma2=sig_work)
     eqs = equilibria(rc)
     nontrivial = [e for e in eqs if e.pattern_class != "trivial"]
     rep.add("nontrivial equilibria", "8", len(nontrivial), "count",

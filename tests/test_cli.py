@@ -179,6 +179,15 @@ class TestCliBasics:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_run_shorter_than_half_a_step_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "h.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
+                    "[simulation]\nn1 = 32\nn2 = 32\ndt = 0.01\nt_end = 0.004\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: line 8: [simulation] t_end = 0.004 is at most "
+                                           "half a step of dt = 0.01: the run would take no step\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
     def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys, kind):
         cfg = write(tmp_path / "blow.cfg", f"[experiment]\nkind = {kind}\nseed = 3\n"
                     "[model]\nlambda_factor = 3\n[simulation]\nn1 = 32\nn2 = 32\n"
@@ -267,6 +276,14 @@ class TestDeterministicOutputs:
         row = (tmp_path / "o" / "sweep_atlas.tsv").read_text().splitlines()[1]
         assert row == "1\t1.02" + "\t" * 11 + ("error:ValueError:recorded mode (40, 0) lies "
                                                 "outside the 32x32 grid")
+
+    def test_sweep_cell_shorter_than_half_a_step_is_an_error_row(self, tmp_path):
+        cfg = write(tmp_path / "sw.cfg", "[experiment]\nkind = sweep\nseed = 5\n[sweep]\n"
+                    "lambda_factors = 1.02\ngeometry_factors = 1\ndt = 0.01\nt_end = 0.004\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        row = (tmp_path / "o" / "sweep_atlas.tsv").read_text().splitlines()[1]
+        assert row == "1\t1.02" + "\t" * 11 + ("error:ValueError:t_end = 0.004 is at most half "
+                                                "a step of dt = 0.01: the run would take no step")
 
 
 class TestOdeCli:

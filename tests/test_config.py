@@ -71,7 +71,7 @@ RANGE_CASES = [
     ("linear", "linear", "lambda_factors = 0.9;-1", "positive", "-1.0"),
     ("verify-theorem1", "verify", "sigma_list = 0.02;0", "positive", "0.0"),
     ("verify-theorem1", "verify", "sigma_list_hex = nan", "positive", "nan"),
-    ("verify-theorem1", "verify", "lambda_factor = -2", "positive", "-2.0"),
+    ("verify-theorem1", "model", "lambda_factor = -inf", "positive", "-inf"),
     ("verify-theorem1", "verify", "subcritical_factor = 0", "positive", "0.0"),
     ("verify-theorem2", "verify", "ell2_perturb = -1", "> -1", "-1.0"),
     ("verify-theorem2", "verify", "lambda_perturb = -2", "> -1", "-2.0"),
@@ -169,11 +169,11 @@ class TestParsing:
         ("reduce", "ode", "n_rays = -5"), ("sweep", "linear", "lambda_factors = 1.1"),
         ("verify-theorem1", "ode", "dt = 0.5"), ("ode", "verify", "n_rays = 8"),
         ("simulate-full", "sweep", "t_end = 10"), ("verify-theorem2", "linear", "lambda_factors = 1"),
-        ("reduce", "verify", "lambda_factor = 1.05"), ("sweep", "verify", "n_rays = 8"),
+        ("reduce", "verify", "subcritical_factor = 1.05"), ("sweep", "verify", "n_rays = 8"),
         ("linear", "ode", "t_end = 10"), ("ode", "sweep", "n1 = 64")] + [
         # theorem2 reads only the perturbations of [verify], theorem1 all but them
         ("verify-theorem2", "verify", "pde_n1 = 64"), ("verify-theorem2", "verify", "skip_pde = true"),
-        ("verify-theorem2", "verify", "lambda_factor = 1.05"),
+        ("verify-theorem2", "verify", "subcritical_factor = 1.05"),
         ("verify-theorem1", "verify", "ell2_perturb = 0.02")])
     def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
         key = f"[{section}] {entry.partition(' =')[0]}"
@@ -240,6 +240,23 @@ class TestParsing:
                 (15, 16, 6, "[geometry] n = 16: the recorded mode 0,64 lies outside the 32x64")]:
             with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(message)} "):
                 parse_config(text.format(m, n))
+
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_a_run_shorter_than_half_a_step_is_rejected(self, kind):
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[simulation]\n"
+        for entries, line, t_end, dt in [("dt = 0.01\nt_end = 0.004\n", 6, "0.004", "0.01"),
+                                         ("dt = 5000\n", 5, "2000", "5000")]:
+            message = (f"[simulation] t_end = {t_end} is at most half a step of dt = {dt}: "
+                       "the run would take no step")
+            with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(message)}$"):
+                parse_config(text + entries)
+        parse_config(text + "dt = 0.01\nt_end = 0.006\n")
+
+    def test_verify_section_has_no_coupling_key(self):
+        # theorem1's coupling is [model] lambda_factor, as for every other kind
+        with pytest.raises(ConfigError, match=r"^line 5: unknown key 'lambda_factor' in \[verify\]$"):
+            parse_config("[experiment]\nkind = verify-theorem1\nseed = 1\n[verify]\n"
+                         "lambda_factor = 1.3\n")
 
     def test_kinds_that_record_no_modes_leave_their_range_open(self):
         cfg = parse_config("[experiment]\nkind = reduce\n[geometry]\nm = 40\nn = 17\n")

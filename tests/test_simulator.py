@@ -378,6 +378,19 @@ class TestSimConfigValidation:
                                              "outside the 32x32 grid$"):
             sim_config(mode_m=m, mode_n=n)
 
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 0.004), (0.02, 0.01), (2.0, 1.0)])
+    def test_rejects_a_run_shorter_than_half_a_step(self, dt, t_end):
+        # round(t_end/dt) steps would be none: the run would report its
+        # initial state as its final one
+        with pytest.raises(ValueError, match=rf"^t_end = {t_end:g} is at most half a step of "
+                                             rf"dt = {dt:g}: the run would take no step$"):
+            sim_config(dt=dt, t_end=t_end)
+
+    def test_a_run_just_over_half_a_step_takes_one_step(self):
+        diag, _ = simulate(sim_config(dt=0.01, t_end=0.006,
+                                      ic=InitialCondition(kind="random", seed=1)))
+        assert list(diag.times) == [0.0, 0.01]
+
     def test_random_ic_requires_seed(self):
         cfg = sim_config(ic=InitialCondition(kind="random", seed=None))
         with pytest.raises(ValueError, match="seed"):
@@ -659,6 +672,20 @@ class TestModels:
             assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
         if alpha == 0.5:
             assert blocks[0][0][0, 0] == blocks[1][1][0, 0] and blocks[0][1][0, 0] == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (32, 64)])
+    def test_models_agree_on_the_slow_manifold(self, shape, alpha):
+        # with the attractant slaved, v = lam*(-Lap + 1)^(-1) u, the pair's
+        # nonlinearity is the scalar model's; the difference is divided by
+        # the gain of the analysed product, as in TestFoldedNonlinearity
+        p = ModelParams(8.0 * alpha, alpha, 18.36 * alpha)
+        c = random_field(np.random.default_rng(35), shape, 0.1)
+        v = helmholtz_inverse(SpectralField(c, G), p.lam).coeffs
+        want = _ScalarRhs(shape, G, p)(c[None])
+        got = _PairRhs(shape, G, p)(np.array([c, v]))
+        amplification = 1.0 + 0.5 * p.lam * rho_table(*shape, G)
+        assert np.max(np.abs(got - want) / amplification) <= 1e-13 * np.max(np.abs(want))
 
     def test_dphi1_is_accurate_for_every_s(self):
         # against the series summed exactly: near 0 (where the closed form

@@ -80,7 +80,7 @@ class TestVerifyTheorem1Paths:
 
     def test_subcritical_coupling_skips_supercritical_checks(self, tmp_path):
         cfg = parse_config(cfg_text(
-            "verify-theorem1", "[verify]\nlambda_factor = 0.98\nskip_pde = true\n"))
+            "verify-theorem1", "[model]\nlambda_factor = 0.98\n[verify]\nskip_pde = true\n"))
         cfg.set("experiment", "out", str(tmp_path))
         rep = run_verify_theorem1(cfg)
         names = [c.name for c in rep.checks]
@@ -92,7 +92,7 @@ class TestVerifyTheorem1Paths:
 
     def test_physical_block_sets_the_working_coupling(self, tmp_path):
         # r1*chi = 17.64 below lambda_c = 18: the suite must run at that
-        # coupling, not at [verify] lambda_factor times lambda_c
+        # coupling, not at the default factor times lambda_c
         extra = ("[physical]\nd1 = 8\nd2 = 1\nchi = 1\nr1 = 17.64\nr2 = 1\n"
                  "alpha1 = 1\nalpha2 = 1\n"
                  "[verify]\nsigma_list =\nsigma_list_hex =\nskip_pde = true\n"
@@ -119,6 +119,21 @@ class TestVerifyTheorem1Paths:
         assert stage_checks and not stage_checks[0].passed
         assert (tmp_path / "verify_theorem1_report.tsv").exists()
 
+    def test_stages_shorter_than_half_a_step_are_failure_rows(self, tmp_path):
+        cfg = parse_config(cfg_text(
+            "verify-theorem1",
+            "[verify]\nsigma_list =\nsigma_list_hex =\nslaving_dt = 0.01\n"
+            "slaving_t_end = 0.004\npde_dt = 0.02\npde_t_end = 0.01\n"))
+        cfg.set("experiment", "out", str(tmp_path))
+        rep = run_verify_theorem1(cfg)
+        rows = {c.name: c for c in rep.checks if c.name.startswith("stage:")}
+        for stage, t_end, dt in [("slaving fits", "0.004", "0.01"),
+                                 ("simulation fingerprint", "0.01", "0.02")]:
+            row = rows[f"stage: {stage}"]
+            assert not row.passed
+            assert row.observed == (f"ValueError: t_end = {t_end} is at most half a step of "
+                                    f"dt = {dt}: the run would take no step")
+
     def test_no_off_axis_ray_fails_the_basin_row(self, tmp_path):
         # with four rays every ray lies on an axis, so the off-axis claim
         # has nothing to hold on and must not pass
@@ -134,7 +149,7 @@ class TestVerifyTheorem1Paths:
 
     def test_report_files_match_report(self, tmp_path):
         cfg = parse_config(cfg_text(
-            "verify-theorem1", "[verify]\nlambda_factor = 0.98\nskip_pde = true\n"))
+            "verify-theorem1", "[model]\nlambda_factor = 0.98\n[verify]\nskip_pde = true\n"))
         cfg.set("experiment", "out", str(tmp_path))
         rep = run_verify_theorem1(cfg)
         tsv = (tmp_path / "verify_theorem1_report.tsv").read_text()
