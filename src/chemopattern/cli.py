@@ -18,7 +18,7 @@ import sys
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config, serialize_config
 from .core import SearchBoundaryError
-from .reduction import ResonanceError
+from .reduction import CONVENTIONS, ResonanceError
 from .reports import VerificationReport
 from .simulator import BlowUpError
 from .verify import (
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the configuration file")
         sp.add_argument("--out", default=None, help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        sp.add_argument("--coefficient-convention", choices=("formula", "paper"),
+        sp.add_argument("--coefficient-convention", choices=CONVENTIONS,
                         default=None, help="cubic coefficient convention (overrides config)")
         sp.add_argument("--dump-config", action="store_true",
                         help="print the resolved configuration and exit")

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .output import cell, fmt
+from .reduction import CONVENTIONS
 from .simulator import record_modes
 
 EXPERIMENT_KINDS = (
@@ -97,7 +98,7 @@ _REQUIREMENTS = {
     ">= 1": lambda n: n >= 1,
     "a power of two >= 32": lambda n: n >= 32 and n & (n - 1) == 0,
     "'random' or 'modes'": lambda s: s in ("random", "modes"),
-    "'formula' or 'paper'": lambda s: s in ("formula", "paper"),
+    "'formula' or 'paper'": lambda s: s in CONVENTIONS,
 }
 
 # section -> key -> (type tag, default, requirement); None default means

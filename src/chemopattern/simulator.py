@@ -46,6 +46,7 @@ run is bitwise reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -134,7 +135,9 @@ def record_modes(m: int, n: int) -> tuple[ModeIndex, ...]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run.  Times fall on the step grid:
+    a run takes round(t_end/dt) steps, ending up to half a step off ``t_end``,
+    and records every max(1, round(record_interval/dt)) steps and the last."""
 
     params: ModelParams
     geometry: DomainGeometry
@@ -256,12 +259,6 @@ class _ScalarRhs(_RhsPlan):
         return np.multiply(W, D, out=out)
 
 
-@lru_cache(maxsize=16)
-def _cached_scalar_rhs(thread: int, *args) -> _ScalarRhs:
-    """One plan per thread and argument set for :func:`nonlinear_rhs`."""
-    return _ScalarRhs(*args)
-
-
 def nonlinear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
     """Quadratic + cubic right-hand side, fully dealiased.
 
@@ -276,7 +273,7 @@ def nonlinear_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
     back to the base resolution in another, and Lap(uw) is then the exact
     diagonal multiplication by -rho_k.
     """
-    rhs = _cached_scalar_rhs(threading.get_ident(), u.shape, u.geometry, p)
+    rhs = _per_thread(threading.get_ident(), _ScalarRhs, u.shape, u.geometry, p)
     return SpectralField(rhs(u.coeffs[None]), u.geometry)
 
 
@@ -382,11 +379,11 @@ class _ScalarStepper(_Midpoint):
     step, _nonlinear = _Midpoint.step, _Midpoint._nonlinear
 
 
-@lru_cache(maxsize=16)
-def _cached_scalar_stepper(thread: int, *args) -> _ScalarStepper:
-    """Standalone :func:`step` calls with equal arguments in one thread share
-    one stepper; threads never share one, as its workspaces are reused."""
-    return _ScalarStepper(*args)
+@lru_cache(maxsize=32)
+def _per_thread(thread: int, cls, *args):
+    """One ``cls(*args)`` per thread for the standalone :func:`step` and
+    :func:`nonlinear_rhs`: its workspaces are reused, so threads never share one."""
+    return cls(*args)
 
 
 def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) -> SpectralField:
@@ -395,7 +392,7 @@ def step(u: SpectralField, p: ModelParams, dt: float, nonlinear: bool = True) ->
     Raises :class:`BlowUpError`, with no time, when the step or its midpoint
     produces non-finite values.
     """
-    stepper = _cached_scalar_stepper(threading.get_ident(), u.shape, u.geometry, p, dt, nonlinear)
+    stepper = _per_thread(threading.get_ident(), _ScalarStepper, u.shape, u.geometry, p, dt, nonlinear)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             c = stepper.step(u.coeffs[None])
@@ -434,12 +431,13 @@ class _Recorder:
 
     def is_steady(self) -> bool:
         cfg = self.cfg
-        if len(self.times) < 2:
-            return False
         t_now, l2_now = self.times[-1], self.l2[-1]
         if l2_now < 1e-12:
             return True
-        j = np.searchsorted(np.asarray(self.times), t_now - cfg.steady_window)
+        # the last record at least one window back, if there is one
+        j = bisect.bisect_right(self.times, t_now - cfg.steady_window) - 1
+        if j < 0:
+            return False
         t_then, l2_then = self.times[j], self.l2[j]
         if t_now - t_then < cfg.steady_window:
             return False
@@ -485,11 +483,11 @@ def _run(cfg: SimConfig, stepper: _Midpoint, state: np.ndarray):
 def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
     """Run the scalar model; returns diagnostics and the final coefficients.
 
-    The run stops early once the relative l2 drift per unit time stays below
-    ``steady_tol`` across ``steady_window`` (or the field has decayed to the
-    trivial state).  A step that leaves a non-finite state, or a record whose
-    l2 norm exceeds ``BLOWUP_NORM``, raises :class:`BlowUpError` carrying its
-    time and the partial diagnostics.
+    The run stops early at a record whose relative l2 drift per unit time,
+    from the last record at least ``steady_window`` back, is at most
+    ``steady_tol`` (or whose l2 is below 1e-12).  A step that leaves a
+    non-finite state, or a record whose l2 norm exceeds ``BLOWUP_NORM``,
+    raises :class:`BlowUpError` carrying its time and the partial diagnostics.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
     stepper = _ScalarStepper((cfg.n1, cfg.n2), cfg.geometry, cfg.params, cfg.dt, cfg.nonlinear)

@@ -229,6 +229,21 @@ class TestDeterministicOutputs:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    @pytest.mark.parametrize("kind", ["simulate", "simulate-full"])
+    def test_step_grid_sets_final_time_and_record_spacing(self, tmp_path, kind):
+        # round(10/0.03) = 333 steps, a record every round(1/0.03) = 33 steps
+        # and at the last one: rows 0.99 apart, and t_final 9.99, not 10
+        cfg = write(tmp_path / "grid.cfg", f"[experiment]\nkind = {kind}\nseed = 3\n"
+                    "[model]\nlambda_factor = 1.02\n[simulation]\nn1 = 32\nn2 = 32\n"
+                    "dt = 0.03\nt_end = 10\nrecord_interval = 1\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        summary = dict(line.split("\t") for line in
+                       (tmp_path / "o" / "summary.tsv").read_text().splitlines())
+        assert float(summary["t_final"]) == 333 * 0.03
+        rows = (tmp_path / "o" / "series.tsv").read_text().splitlines()[1:]
+        assert [float(r.split("\t")[0]) for r in rows] == \
+            [i * 0.03 for i in range(0, 333, 33)] + [333 * 0.03]
+
     def test_seed_override_changes_run(self, tmp_path):
         cfg = write(tmp_path / "sim.cfg", SIM_CFG)
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])

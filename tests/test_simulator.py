@@ -260,7 +260,7 @@ class TestStep:
             built.append(args)
             init(self, *args)
 
-        simulator._cached_scalar_stepper.cache_clear()
+        simulator._per_thread.cache_clear()
         monkeypatch.setattr(_ScalarStepper, "__init__", counting_init)
         c0 = np.zeros((32, 32))
         c0[1, 1], c0[0, 2] = 0.05, 0.03
@@ -317,7 +317,7 @@ class TestPlanBuffers:
         pair = _PairStepper(sim_config(dt=0.05))
         results = [scalar.step(c[None]), pair.step(np.array([c, cv])),
                    nonlinear_rhs(SpectralField(c, G), P).coeffs]
-        plan = simulator._cached_scalar_rhs(threading.get_ident(), (32, 32), G, P)
+        plan = simulator._per_thread(threading.get_ident(), _ScalarRhs, (32, 32), G, P)
         buffers = self.buffers(scalar, scalar._rhs, pair, pair._rhs, plan)
         for r in results:
             assert not any(np.shares_memory(r, b) for b in buffers)
@@ -494,6 +494,40 @@ class TestSimulate:
         assert diag.l2_series[-1] > BLOWUP_NORM >= diag.l2_series[:-1].max()
         assert diag.final_fingerprint == "unresolved"
         assert not diag.steady
+
+
+class TestSteadyExit:
+    """A run exits steady at the first record whose relative l2 drift per
+    unit time, against the last record at least ``steady_window`` before it,
+    is at most ``steady_tol``, whether or not a record lies exactly one
+    window back."""
+
+    def test_records_off_the_window_grid(self):
+        # dt = 0.03 records every 33 steps, 0.99 apart: no record lies exactly
+        # 50 before another, and the first with one at least 50 before it is
+        # at 1683*dt = 50.49, measured against t = 0
+        rec = simulator._Recorder(sim_config(dt=0.03, steady_window=50.0))
+        assert rec.every == 33
+        c = single_mode(1, 1, 0.1).coeffs
+        rec.record(0.0, c)
+        answers = []
+        for i in range(33, 1684, 33):
+            rec.record(i * 0.03, c)
+            answers.append((i * 0.03, rec.is_steady()))
+        assert answers[-1] == (1683 * 0.03, True)
+        assert not any(steady for _, steady in answers[:-1])
+
+    @pytest.mark.parametrize("grid", [dict(dt=0.08), dict(record_interval=0.7),
+                                      dict(steady_window=37.3)],
+                             ids=["dt=0.08", "record_interval=0.7", "steady_window=37.3"])
+    def test_roll_run_exits_steady_on_any_grid(self, grid):
+        # criterion 9's seed 0 exits steady at t = 195 on dt = 0.02 with
+        # records 1 apart and a window of 50
+        diag, _ = simulate(sim_config(params=ModelParams(8.0, 1.0, 1.02 * 18.0), t_end=1500.0,
+                                      ic=InitialCondition(kind="random", seed=0), **grid))
+        assert diag.steady
+        assert diag.times[-1] < 300.0
+        assert diag.final_fingerprint == "roll"
 
 
 def test_blow_up_error_survives_pickling():
