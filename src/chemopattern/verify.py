@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 
 from .config import ExperimentConfig
 from .core import (
@@ -195,27 +195,43 @@ def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
                         "ode_attractor.tsv": tsv(graph_rows)})
 
 
-def _sim_config(cfg: ExperimentConfig, p: ModelParams, g: DomainGeometry,
-                m: int, n: int) -> SimConfig:
-    s = cfg.data["simulation"]
-    if s["ic_kind"] == "modes":
-        ic = InitialCondition(kind="modes", modes=s["ic_modes"])
-    else:
-        ic = InitialCondition(kind="random", seed=cfg.seed, amplitude=s["ic_amplitude"],
-                              kmax=s["ic_kmax"])
-    return SimConfig(
-        params=p, geometry=g, n1=s["n1"], n2=s["n2"], dt=s["dt"], t_end=s["t_end"], ic=ic,
-        mode_m=m, mode_n=n, record_interval=s["record_interval"],
-        snapshot_times=s["snapshot_times"], noise_floor=s["noise_floor"],
-        steady_tol=s["steady_tol"], steady_window=s["steady_window"],
-    )
+def _run_config(cfg: ExperimentConfig, section: str, prefix: str, p: ModelParams,
+                g: DomainGeometry, m: int, n: int, ic: dict, **fields) -> SimConfig:
+    """The run of working point (p, g, m, n), the one place a driver builds a
+    ``SimConfig``.  ``[section]`` gives every field it has a ``<prefix><field>``
+    key for (``n1``, ``n2``, ``dt``, ...) and every initial-data field it has a
+    ``<prefix>ic_<field>`` key for; ``ic`` and ``fields`` give the others."""
+    s = cfg.data[section]
+
+    def given(cls, pre):
+        return {f.name: s[pre + f.name] for f in dataclass_fields(cls) if pre + f.name in s}
+
+    return SimConfig(params=p, geometry=g, mode_m=m, mode_n=n,
+                     ic=InitialCondition(**given(InitialCondition, prefix + "ic_"), **ic),
+                     **given(SimConfig, prefix), **fields)
+
+
+def _tried(fn, *args):
+    """``fn(*args)``, or the exception it raised, which ``_ok`` raises where
+    the result is read."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # handed on as the result
+        return exc
+
+
+def _ok(result):
+    """A result of ``_tried``, raising it where the call failed."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_simulate(cfg: ExperimentConfig) -> dict[str, str]:
     """One full simulation of the kind's model (``simulate-full``: the
     two-field system); writes the mode series, snapshots, and a summary."""
     p, g, crit, m, n = resolve_setup(cfg)
-    sim_cfg = _sim_config(cfg, p, g, m, n)
+    sim_cfg = _run_config(cfg, "simulation", "", p, g, m, n, {"seed": cfg.seed})
     if cfg.kind == "simulate-full":
         diag, (final, _v) = simulate_full_system(sim_cfg)
     else:
@@ -226,15 +242,14 @@ def run_simulate(cfg: ExperimentConfig) -> dict[str, str]:
     # the terminal state is always available, even when steady-state exit
     # ends the run before later requested snapshot times
     files["snapshot_final.txt"] = snapshot_text(transform_inverse(final), diag.times[-1])
-    (km, kn), (k0, k2n) = sim_cfg.critical_pair
     files["summary.tsv"] = tsv([
         ("quantity", "value"),
         ("fingerprint", diag.final_fingerprint),
         ("steady", diag.steady),
         ("t_final", diag.times[-1]),
         ("l2_final", diag.l2_series[-1]),
-        ("y1_final", final.mode((km, kn))),
-        ("y2_final", final.mode((k0, k2n))),
+        ("y1_final", final.mode((m, n))),
+        ("y2_final", final.mode((0, 2 * n))),
         ("lambda", p.lam),
         ("lambda_c", crit.lambda_c),
     ])
@@ -261,7 +276,6 @@ def run_sweep(cfg: ExperimentConfig) -> dict[str, str]:
 def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) -> tuple:
     """The atlas row of sweep cell number ``cell`` (from 1, which offsets
     the seed) at (geometry factor, coupling factor) ``factors``."""
-    sw = cfg.data["sweep"]
     gf, lf = factors
     try:
         p, g, crit, m, n = resolve_setup(cfg, gf, lf)
@@ -270,12 +284,7 @@ def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) 
             n_eq = len([e for e in equilibria(rc) if e.pattern_class != "trivial"])
         except RectangleRootError:
             n_eq = -1
-        sim_cfg = SimConfig(
-            params=p, geometry=g, n1=sw["n1"], n2=sw["n2"], dt=sw["dt"],
-            t_end=sw["t_end"], mode_m=m, mode_n=n,
-            ic=InitialCondition(kind="random", seed=(cfg.seed or 0) + cell,
-                                amplitude=sw["ic_amplitude"]))
-        diag, _ = simulate(sim_cfg)
+        diag, _ = simulate(_run_config(cfg, "sweep", "", p, g, m, n, {"seed": cfg.seed + cell}))
         return (gf, lf, crit.lambda_c, _modes_str(crit.critical_modes), crit.rho_star,
                 rc.frak_a, rc.frak_b1_formula, rc.frak_b2_formula,
                 rc.frak_b1_paper, rc.frak_b2_paper, n_eq, diag.final_fingerprint, "ok")
@@ -325,27 +334,6 @@ def _nearest_amplitude_mismatch(y1: float, y2: float, eqs) -> tuple[float, str]:
         if scale > 0 and d / scale < best:
             best, cls = d / scale, e.pattern_class
     return best, cls
-
-
-def _arbitration_runs(cfg, p_base, crit, g, m, n, branch: str, sigmas):
-    """Saturation runs on the invariant "roll" or "hexagon" branch, on the
-    usable CPUs: [(sigma, amplitude)]."""
-    v = cfg.data["verify"]
-    if branch == "roll":
-        modes = (((0, 2 * n), 1e-3),)
-    else:
-        modes = (((m, n), 2e-3), ((0, 2 * n), 1e-3))
-
-    def run(sig):
-        p = ModelParams(p_base.mu, p_base.alpha, _lambda_for_sigma(crit, sig))
-        sim_cfg = SimConfig(
-            params=p, geometry=g, n1=v["fit_n1"], n2=v["fit_n2"], dt=v["fit_dt"],
-            t_end=max(80.0 / sig, 400.0), mode_m=m, mode_n=n,
-            ic=InitialCondition(kind="modes", modes=modes))
-        diag, _ = simulate(sim_cfg)
-        return sig, branch_steady_amplitude(diag, m, n, branch)
-
-    return map_in_order(run, sigmas)
 
 
 def _arbitrate(value: float, candidate_formula: float, candidate_paper: float) -> str:
@@ -433,7 +421,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
 
     survey = basin_survey(rc, v["ray_radius"], v["n_rays"])
     labels = Counter("unresolved" if e is None else e.pattern_class for e in survey.values())
-    off_axis = [e for theta, e in survey.items() if min(abs(math.sin(2.0 * theta)), 1.0) > 1e-9]
+    off_axis = [e for theta, e in survey.items() if abs(math.sin(2.0 * theta)) > 1e-9]
     rep.add("basin survey: off-axis rays end at hexagons (as stated)",
             "hexagon", ", ".join(f"{k} x{c}" for k, c in sorted(labels.items())),
             "label", bool(off_axis) and all(
@@ -442,11 +430,19 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
                   "those are the rolls and rectangles") if off_axis else
                  f"no off-axis ray among {len(survey)}: every ray lies on an axis")
 
-    # arbitration of the cubic coefficients by the simulation oracle
-    def arbitration_stage():
-        p_base = ModelParams(p.mu, p.alpha, crit.lambda_c)
-        roll_runs = _arbitration_runs(cfg, p_base, crit, g, m, n, "roll", v["sigma_list"])
-        fit_roll = fit_saturation(roll_runs, "roll")
+    # The PDE stages.  Each states its runs as data, and a reader turns their
+    # results into rows; the runs of all stages go through one map, in order.
+    seed_modes = {"roll": (((0, 2 * n), 1e-3),), "hexagon": (((m, n), 2e-3), ((0, 2 * n), 1e-3))}
+    branch_runs = ([("roll", sig) for sig in v["sigma_list"]]
+                   + [("hexagon", sig) for sig in v["sigma_list_hex"]])
+
+    def read_arbitration(results):
+        def fit(branch):
+            return fit_saturation([(sig, branch_steady_amplitude(_ok(r)[0], m, n, branch))
+                                   for (b, sig), r in zip(branch_runs, results) if b == branch],
+                                  branch)
+
+        fit_roll = fit("roll")
         cand_f, cand_p = rc.frak_b1_formula, rc.frak_b1_paper
         verdict = _arbitrate(fit_roll.combination_value, cand_f, cand_p)
         gap = abs(cand_f - cand_p) / min(abs(cand_f), abs(cand_p))
@@ -456,8 +452,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
                 "rel 0.1", verdict != "indecisive",
                 note=f"fitted b1 = {fmt(fit_roll.combination_value)}; candidates "
                      f"formula {fmt(cand_f)}, paper {fmt(cand_p)}")
-        hex_runs = _arbitration_runs(cfg, p_base, crit, g, m, n, "hexagon", v["sigma_list_hex"])
-        fit_hex = fit_saturation(hex_runs, "hexagon")
+        fit_hex = fit("hexagon")
         hx_f = rc.frak_b1_formula + 4.0 * rc.frak_b2_formula
         hx_p = rc.frak_b1_paper + 4.0 * rc.frak_b2_paper
         hex_verdict = _arbitrate(fit_hex.combination_value, hx_f, hx_p)
@@ -470,13 +465,8 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
             f"coefficient convention in use: {cfg.convention}; roll-branch arbitration "
             f"selects: {verdict}; hexagon-branch: {hex_verdict}")
 
-    def slaving_stage():
-        sl_cfg = SimConfig(
-            params=p, geometry=g, n1=v["slaving_n1"], n2=v["slaving_n2"],
-            dt=v["slaving_dt"], t_end=v["slaving_t_end"], mode_m=m, mode_n=n,
-            ic=InitialCondition(kind="modes", modes=(((m, n), 1.3e-3), ((0, 2 * n), 1e-3))))
-        sl_diag, _ = simulate(sl_cfg)
-        fit = fit_slaving(sl_diag, m, n)
+    def read_slaving(results):
+        fit = fit_slaving(_ok(results[0])[0], m, n)
         for name, got, want in [("mean-mode slaving vs y1^2", fit.coeff_00_1, -0.375),
                                 ("mean-mode slaving vs y2^2", fit.coeff_00_2, -0.75),
                                 ("slaving gain kappa1", fit.kappa1_hat, rc_c.kappa1),
@@ -487,17 +477,12 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
             else:
                 rep.add_numeric(name, want, got, 0.10, relative=True)
 
-    def fingerprint_stage():
-        sim_cfg = SimConfig(
-            params=p, geometry=g, n1=v["pde_n1"], n2=v["pde_n2"], dt=v["pde_dt"],
-            t_end=v["pde_t_end"], mode_m=m, mode_n=n,
-            ic=InitialCondition(kind="random", seed=cfg.seed, amplitude=1e-3))
-        diag, final = simulate(sim_cfg)
+    def read_fingerprint(results):
+        diag, final = _ok(results[0])
         rep.add("simulation fingerprint is hexagon (as stated)", "hexagon",
                 diag.final_fingerprint, "label", diag.final_fingerprint == "hexagon",
                 note="the simulation selects the stable patterns of the ring")
-        y1 = final.mode((m, n))
-        y2 = final.mode((0, 2 * n))
+        y1, y2 = final.mode((m, n)), final.mode((0, 2 * n))
         # amplitudes are compared against the coefficients evaluated at the
         # working coupling, the best prediction the reduction offers
         eqs_local = equilibria(cubic_coefficients(p, g, m, n, convention=cfg.convention))
@@ -505,13 +490,26 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
         rep.add_numeric(f"amplitude match to nearest equilibrium ({cls})", 0.0, mism,
                         0.15, note=f"terminal (y1, y2) = ({fmt(y1)}, {fmt(y2)})")
 
-    stages = [("coefficient arbitration", arbitration_stage),
-              ("slaving fits", slaving_stage)]
-    if not v["skip_pde"]:
-        stages.append(("simulation fingerprint", fingerprint_stage))
-    for stage_name, stage in stages:
+    stages = [
+        ("coefficient arbitration", lambda: [_run_config(
+            cfg, "verify", "fit_", ModelParams(p.mu, p.alpha, _lambda_for_sigma(crit, sig)),
+            g, m, n, {"kind": "modes", "modes": seed_modes[branch]}, t_end=max(80.0 / sig, 400.0))
+            for branch, sig in branch_runs], read_arbitration),
+        ("slaving fits", lambda: [_run_config(
+            cfg, "verify", "slaving_", p, g, m, n,
+            {"kind": "modes", "modes": (((m, n), 1.3e-3), ((0, 2 * n), 1e-3))})], read_slaving),
+        ("simulation fingerprint", lambda: [_run_config(
+            cfg, "verify", "pde_", p, g, m, n, {"seed": cfg.seed, "amplitude": 1e-3})],
+         read_fingerprint)]
+    if v["skip_pde"]:
+        stages.pop()
+    # a stage that cannot state its runs, or whose run failed, fails alone
+    batches = [_tried(runs) for _name, runs, _read in stages]
+    results = iter(map_in_order(lambda c: _tried(simulate, c), [
+        c for batch in batches if not isinstance(batch, Exception) for c in batch]))
+    for (stage_name, _runs, read), batch in zip(stages, batches):
         try:
-            stage()
+            read([next(results) for _ in _ok(batch)])
         except Exception as exc:  # a failed stage is recorded; the run continues
             rep.add(f"stage: {stage_name}", "completes", f"{type(exc).__name__}: {exc}",
                     "no error", False)

@@ -34,6 +34,7 @@ from chemopattern import (
 from chemopattern.config import parse_config
 from chemopattern.core import lambda_envelope, pes_classification, rho_table
 from chemopattern.fitting import branch_steady_amplitude
+from chemopattern.parallel import map_in_order
 from chemopattern.simulator import InitialCondition, SimConfig
 from chemopattern.transforms import SpectralField, coeffs_to_grid, grid_to_coeffs
 from chemopattern.verify import run_verify_theorem2
@@ -150,15 +151,15 @@ def test_criterion_04_slaving_oracle(setup):
 
 
 def _branch_runs(g, branch, sigmas, seed_modes):
-    runs = []
-    for sig in sigmas:
+    def run(sig):
         p = ModelParams(MU, ALPHA, lam_for_sigma(sig))
         cfg = SimConfig(params=p, geometry=g, n1=32, n2=32, dt=0.02,
                         t_end=max(80.0 / sig, 400.0), mode_m=1, mode_n=1,
                         ic=InitialCondition(kind="modes", modes=seed_modes))
         diag, _ = simulate(cfg)
-        runs.append((sig, branch_steady_amplitude(diag, 1, 1, branch)))
-    return runs
+        return sig, branch_steady_amplitude(diag, 1, 1, branch)
+
+    return map_in_order(run, sigmas)
 
 
 @pytest.mark.slow
@@ -283,15 +284,23 @@ def test_criterion_09_pde_reduction_consistency(setup):
     rc_local = cubic_coefficients(p, g, 1, 1)
     eqs = [e for e in equilibria(rc_local) if e.pattern_class != "trivial"]
 
+    def sim_config(params, seed, t_end):
+        return SimConfig(params=params, geometry=g, n1=32, n2=32, dt=0.02, t_end=t_end,
+                         mode_m=1, mode_n=1,
+                         ic=InitialCondition(kind="random", seed=seed, amplitude=1e-3))
+
+    # one batch over the usable CPUs: 10 supercritical seeds, 2 subcritical
+    # ones, and the two-field reruns of supercritical seeds 0 and 3
+    p_sub = ModelParams(MU, ALPHA, 0.99 * crit.lambda_c)
+    jobs = ([(simulate, sim_config(p, seed, 2000.0)) for seed in range(10)]
+            + [(simulate, sim_config(p_sub, seed, 1500.0)) for seed in (0, 1)]
+            + [(simulate_full_system, sim_config(p, seed, 2000.0)) for seed in (0, 3)])
+    results = map_in_order(lambda job: job[0](job[1]), jobs)
+    super_runs, sub_runs, full_runs = results[:10], results[10:12], results[12:]
+
     fingerprints = Counter()
     mismatches = []
-    runs = {}  # seed -> (config, scalar fingerprint), for the two-field cross-check
-    for seed in range(10):
-        cfg = SimConfig(params=p, geometry=g, n1=32, n2=32, dt=0.02, t_end=2000.0,
-                        mode_m=1, mode_n=1,
-                        ic=InitialCondition(kind="random", seed=seed, amplitude=1e-3))
-        diag, final = simulate(cfg)
-        runs[seed] = cfg, diag.final_fingerprint
+    for diag, final in super_runs:
         fingerprints[diag.final_fingerprint] += 1
         y1, y2 = final.mode((1, 1)), final.mode((0, 2))
         best = min(
@@ -303,21 +312,13 @@ def test_criterion_09_pde_reduction_consistency(setup):
     ok_hex = record(9, "all supercritical fingerprints are hexagon (as stated)",
                     set(fingerprints) == {"hexagon"}, str(dict(fingerprints)))
 
-    sub_ok = True
-    p_sub = ModelParams(MU, ALPHA, 0.99 * crit.lambda_c)
-    for seed in (0, 1):
-        cfg = SimConfig(params=p_sub, geometry=g, n1=32, n2=32, dt=0.02, t_end=1500.0,
-                        mode_m=1, mode_n=1,
-                        ic=InitialCondition(kind="random", seed=seed, amplitude=1e-3))
-        diag, _ = simulate(cfg)
-        sub_ok &= diag.final_fingerprint == "trivial"
+    sub_ok = all(diag.final_fingerprint == "trivial" for diag, _ in sub_runs)
     ok_sub = record(9, "subcritical runs decay to the uniform state", sub_ok)
 
     full_ok = True
     details = []
-    for seed in (0, 3):
-        cfg, scalar_fingerprint = runs[seed]
-        diag_f, _ = simulate_full_system(cfg)
+    for seed, (diag_f, _) in zip((0, 3), full_runs):
+        scalar_fingerprint = super_runs[seed][0].final_fingerprint
         details.append(f"seed {seed}: {scalar_fingerprint}/{diag_f.final_fingerprint}")
         full_ok &= scalar_fingerprint == diag_f.final_fingerprint
     ok_full = record(9, "two-field model agrees with the scalar model in fingerprint",

@@ -119,6 +119,10 @@ THEOREM1_SHORT = ("[experiment]\nkind = verify-theorem1\n[verify]\nskip_pde = tr
                   "sigma_list = 0.2;0.3;0.4\nsigma_list_hex = 0.2;0.3;0.4\nfit_dt = 0.1\n"
                   "slaving_t_end = 60\nslaving_n1 = 32\nslaving_n2 = 32\nslaving_dt = 0.05\n")
 
+#: the same with a short PDE stage, whose run draws its initial data from the seed
+THEOREM1_PDE = THEOREM1_SHORT.replace("[verify]\nskip_pde = true\n",
+                                      "seed = 3\n[verify]\npde_t_end = 40\npde_dt = 0.05\n")
+
 
 def run_cli(kind, text, path):
     path.mkdir()
@@ -133,6 +137,7 @@ class TestExperimentFiles:
                 "[ode]\nn_rays = 16\nt_end = 2000\n"),
         ("verify-theorem2", "[experiment]\nkind = verify-theorem2\nseed = 1\n"),
         ("verify-theorem1", THEOREM1_SHORT),
+        ("verify-theorem1", THEOREM1_PDE),
         ("sweep", "[experiment]\nkind = sweep\nseed = 5\n"
                   "[sweep]\nlambda_factors = 1.02;-1\ngeometry_factors = 1.0;1.01\n"
                   "t_end = 30\ndt = 0.05\n"),
@@ -151,6 +156,8 @@ class TestExperimentFiles:
         if kind == "verify-theorem1":
             # the arbitration stage ran both sigma lists to the end
             assert b"hexagon-branch arbitration" in files["verify_theorem1_report.tsv"]
+            assert (b"simulation fingerprint" in files["verify_theorem1_report.tsv"]) \
+                == (text == THEOREM1_PDE)
 
     def test_worker_error_is_the_stage_failure_row(self, monkeypatch, tmp_path):
         set_workers(monkeypatch, 2)
@@ -168,3 +175,28 @@ class TestExperimentFiles:
         row, = [c for c in rep.checks if c.name == "stage: coefficient arbitration"]
         assert (row.observed, row.passed) == ("RuntimeError: simulation failed: in a worker", False)
         assert (tmp_path / "verify_theorem1_report.tsv").read_text() == rep.to_tsv()
+
+    def test_failed_run_fails_only_its_stage(self, monkeypatch, tmp_path):
+        set_workers(monkeypatch, 2)
+        cfg = parse_config(THEOREM1_PDE)
+        cfg.set("experiment", "out", str(tmp_path))
+        clean = verify.run_verify_theorem1(cfg).checks
+        parent, real = os.getpid(), verify.simulate
+
+        def simulate(sim_cfg):
+            # the fingerprint run is the one run from random initial data
+            if os.getpid() != parent and sim_cfg.ic.kind == "random":
+                raise RuntimeError("simulation failed: the fingerprint run")
+            return real(sim_cfg)
+
+        monkeypatch.setattr(verify, "simulate", simulate)
+        failed = verify.run_verify_theorem1(cfg).checks
+        assert clean[-2].name == "simulation fingerprint is hexagon (as stated)"
+        assert clean[-1].name.startswith("amplitude match to nearest equilibrium")
+        assert (failed[-1].name, failed[-1].observed, failed[-1].passed) \
+            == ("stage: simulation fingerprint",
+                "RuntimeError: simulation failed: the fingerprint run", False)
+        # the arbitration and slaving rows, and all before them, are the unpatched run's
+        assert failed[:-1] == clean[:-2]
+        assert any(c.name == "hexagon-branch arbitration" for c in failed)
+        assert any(c.name == "slaving gain kappa2" for c in failed)
