@@ -3,6 +3,7 @@ worker as on several, no worker outlives a call, and worker errors surface."""
 
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -45,12 +46,9 @@ class TestMapInOrder:
         set_workers(monkeypatch, 3)
         out = map_in_order(lambda x: (x, os.getpid()), range(n_items))
         assert [x for x, _pid in out] == list(range(n_items))
-        # round-robin shares, each run by one process; the caller runs
-        # share 0 and workers the others
-        shares = min(3, n_items)
-        for x, pid in out:
-            assert pid == out[x % shares][1]
-            assert (pid == os.getpid()) == (x % shares == 0)
+        # one item runs in the caller; with more than one worker, every item
+        # runs in a forked worker and none in the caller
+        assert [pid == os.getpid() for _x, pid in out] == [n_items == 1] * n_items
 
     @pytest.mark.parametrize("case", ["one item", "one cpu", "no fork"])
     def test_in_process_paths_fork_nothing(self, monkeypatch, case):
@@ -63,13 +61,29 @@ class TestMapInOrder:
         assert map_in_order(lambda x: (x * x, os.getpid()), items) \
             == [(x * x, os.getpid()) for x in items]
 
-    def test_nested_map_runs_in_its_share(self, monkeypatch):
+    def test_nested_map_runs_in_its_worker(self, monkeypatch):
         set_workers(monkeypatch, 2)
         out = map_in_order(lambda x: map_in_order(lambda y: (x * y, os.getpid()), range(3)),
                            range(4))
         assert [[v for v, _pid in row] for row in out] == [[x * y for y in range(3)]
                                                           for x in range(4)]
         assert all(len({pid for _v, pid in row}) == 1 for row in out)
+
+    def test_a_free_worker_takes_the_next_item(self, monkeypatch, tmp_path):
+        # item 0 waits (at most 10 s) for a file that item 2 writes, so it
+        # sees the file only if the worker that ran item 1 goes on to item 2
+        set_workers(monkeypatch, 2)
+        marker = tmp_path / "item 2 ran"
+
+        def run(x):
+            if x == 2:
+                marker.touch()
+            deadline = time.monotonic() + 10
+            while x == 0 and not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return marker.exists()
+
+        assert map_in_order(run, range(3))[0]
 
     def test_worker_error_surfaces(self, monkeypatch):
         set_workers(monkeypatch, 2)
