@@ -25,8 +25,11 @@ on the last two axes and treat any leading axes as a batch, which folds into
 the rows of the first product, so all the fields of one right-hand side go
 through one call.  They take the caller's arrays for the intermediate product
 and the result, and analysis works in its input, so a caller that keeps
-those arrays allocates no grid-sized memory per call.  The output bytes
-depend on the BLAS kernel, which OpenBLAS picks per CPU type.
+those arrays allocates no grid-sized memory per call.  Padded, as in every
+right-hand side, the right factor of the first product is a C-contiguous
+copy, which OpenBLAS multiplies to the same bytes as the transposed view, a
+third faster at 32 -> 64; unpadded, its small-matrix kernels round the two
+apart, so the view stays.  The bytes depend on the kernel OpenBLAS picks.
 """
 
 from __future__ import annotations
@@ -87,18 +90,28 @@ class GridField:
 
 
 @lru_cache(maxsize=16)
-def _cosine_matrices(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _cosine_matrices(n: int, m: int) -> tuple[np.ndarray, ...]:
     """Read-only synthesis ``C`` (m x n) and analysis ``A`` (n x m) matrices
     between n cosine coefficients and the m-point midpoint grid:
     ``C[i, k] = cos(pi*(i + 1/2)*k/m)`` and ``A[k, i] = (w_k/m)*C[i, k]`` with
-    ``w_0 = 1``, ``w_k = 2``, so ``A @ C`` is the identity."""
+    ``w_0 = 1``, ``w_k = 2``, so ``A @ C`` is the identity; then ``C.T`` and
+    ``A.T``, copied C-contiguous if m > n: faster in BLAS, to the same bytes."""
     i = np.arange(m)[:, None]
     k = np.arange(n)[None, :]
     # reduce the angle exactly in integers, so cos sees arguments below 2*pi
     C = np.cos(np.pi * (((2 * i + 1) * k) % (4 * m)) / (2 * m))
-    A = np.ascontiguousarray((C * (np.where(k == 0, 1.0, 2.0) / m)).T)
-    C.flags.writeable = A.flags.writeable = False
-    return C, A
+    AT = C * (np.where(k == 0, 1.0, 2.0) / m)
+    A = np.ascontiguousarray(AT.T)
+    CT, AT = (np.ascontiguousarray(C.T), AT) if m > n else (C.T, A.T)
+    C.flags.writeable = A.flags.writeable = CT.flags.writeable = AT.flags.writeable = False
+    return C, A, CT, AT
+
+
+@lru_cache(maxsize=16)
+def _operands(n1: int, m1: int, n2: int, m2: int) -> tuple[np.ndarray, ...]:
+    """The (left, right) factors of n1 x n2 -> m1 x m2 synthesis, then of its analysis."""
+    (C1, A1, _, _), (_, _, C2T, A2T) = _cosine_matrices(n1, m1), _cosine_matrices(n2, m2)
+    return C1, C2T, A1, A2T
 
 
 def coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
@@ -110,16 +123,15 @@ def coeffs_to_grid(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
     ``out`` takes the result and ``rows``, a C-contiguous
     ``(*batch, n1, shape[1])`` array, the intermediate product (default:
     fresh arrays); ``out`` is overwritten entirely.  Returns ``out``."""
-    n1, n2 = coeffs.shape[-2:]
+    *batch, n1, n2 = coeffs.shape
     m1, m2 = shape if shape is not None else (n1, n2)
     if m1 < n1 or m2 < n2:
         raise ValueError(f"target grid {m1}x{m2} smaller than coefficients {n1}x{n2}")
-    C1, _ = _cosine_matrices(n1, m1)
-    C2, _ = _cosine_matrices(n2, m2)
+    C1, C2T, _, _ = _operands(n1, m1, n2, m2)
+    rows = np.empty((*batch, n1, m2)) if rows is None else rows
     # the batch folds into the row count of the first product
-    flat = None if rows is None else rows.reshape(-1, m2)
-    rows = np.matmul(coeffs.reshape(-1, n2), C2.T, out=flat)
-    return np.matmul(C1, rows.reshape(*coeffs.shape[:-1], m2), out=out)
+    np.matmul(coeffs.reshape(-1, n2), C2T, out=rows.reshape(-1, m2))
+    return np.matmul(C1, rows, out=out)
 
 
 def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None,
@@ -132,25 +144,26 @@ def grid_to_coeffs(values: np.ndarray, shape: tuple[int, int] | None = None,
     ``values`` is overwritten: each field has its ``(0, 0)`` value subtracted.
     ``rows``, a C-contiguous ``(*batch, m1, shape[1])`` array, takes the
     intermediate product and ``out`` the result (default: fresh arrays)."""
-    m1, m2 = values.shape[-2:]
+    *batch, m1, m2 = values.shape
     n1, n2 = shape if shape is not None else (m1, m2)
     if n1 > m1 or n2 > m2:
         raise ValueError(f"truncation {n1}x{n2} larger than grid {m1}x{m2}")
-    _, A1 = _cosine_matrices(n1, m1)
-    _, A2 = _cosine_matrices(n2, m2)
+    _, _, A1, A2T = _operands(n1, m1, n2, m2)
     # A constant analyses exactly to the (0, 0) coefficient.  Taking one out
     # first keeps the other coefficients of a constant field exactly zero and
     # their rounding error proportional to the field's spread about its
     # (0, 0) value rather than to its offset.  It is taken out field by
     # field: numpy buffers a broadcasting subtraction through a temporary.
     fields = values.reshape(-1, m1, m2)
-    offset = fields[:, 0, 0].copy()
-    for field, o in zip(fields, offset):
+    offsets = fields[:, 0, 0].tolist()
+    for field, o in zip(fields, offsets):
         field -= o
-    flat = None if rows is None else rows.reshape(-1, n2)
-    rows = np.matmul(fields.reshape(-1, m2), A2.T, out=flat)
-    coeffs = np.matmul(A1, rows.reshape(*values.shape[:-1], n2), out=out)
-    coeffs[..., 0, 0] += offset.reshape(values.shape[:-2])
+    rows = np.empty((*batch, m1, n2)) if rows is None else rows
+    np.matmul(fields.reshape(-1, m2), A2T, out=rows.reshape(-1, n2))
+    coeffs = np.matmul(A1, rows, out=out)
+    corners = coeffs[..., 0, 0].flat
+    for i, o in enumerate(offsets):
+        corners[i] += o
     return coeffs
 
 

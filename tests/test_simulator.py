@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ class TestStep:
             step(SpectralField(c, G), p, dt)
         assert err.value.time is None
         assert "blew up at t" not in str(err.value)
+
+    def test_finite_entries_whose_sum_overflows_step_on(self):
+        # the stepped state's sum overflows while each entry stays finite, so
+        # the step must not take it for a blow-up, nor warn
+        c = np.zeros((32, 32))
+        c[1, 1] = c[0, 2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = step(SpectralField(c, G), P, 1e-9, nonlinear=False).coeffs
+        assert np.all(np.isfinite(out))
+        assert min(out[1, 1], out[0, 2]) > 0.99e308
 
     def test_threads_do_not_share_a_stepper(self):
         rng = np.random.default_rng(26)
@@ -466,12 +478,30 @@ class TestSimulate:
         assert err.value.diagnostics is not None
         assert len(err.value.diagnostics.times) >= 1
 
-    @pytest.mark.parametrize("run", [simulate, simulate_full_system])
-    def test_blow_up_between_records_reports_the_first_non_finite_step(self, run):
-        # records at t = 0, 25, 50 only; the state is first non-finite after
-        # the third step
+    # records at t = 0, 25, 50 only; the state is first non-finite after the
+    # third step: all of it by growth, or one entry of a small state, planted
+    # in that step's second right-hand side, which the step's finiteness sum
+    # must still catch
+    @pytest.mark.parametrize("run, planted", [
+        pytest.param(simulate, None, id="simulate"),
+        pytest.param(simulate_full_system, None, id="simulate_full_system"),
+        *(pytest.param(simulate, v, id=f"simulate-one-{v}") for v in (math.nan, math.inf, -math.inf))])
+    def test_blow_up_between_records_reports_the_first_non_finite_step(self, monkeypatch, run,
+                                                                       planted):
+        amplitude = 50.0
+        if planted is not None:
+            nonlinear, calls, amplitude = _ScalarStepper._nonlinear, [], 0.01
+
+            def planting(self, state, out=None):
+                n = nonlinear(self, state, out)
+                calls.append(None)
+                if len(calls) == 6:
+                    n[3, 5] = planted
+                return n
+
+            monkeypatch.setattr(_ScalarStepper, "_nonlinear", planting)
         cfg = sim_config(t_end=50.0, dt=0.5, record_interval=25.0,
-                         ic=InitialCondition(kind="modes", modes=(((1, 1), 50.0),)))
+                         ic=InitialCondition(kind="modes", modes=(((1, 1), amplitude),)))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(BlowUpError, match="blew up at t = 1.5") as err:
             run(cfg)

@@ -107,6 +107,34 @@ class TestBatchedTransforms:
         assert np.array_equal(out, expected)
 
 
+class TestOperandLayout:
+    # a padded transform takes the right factor of its first product
+    # C-contiguous; its bytes must stay those of the products written with the
+    # transposed views, as must an unpadded one's (the snapshots), which keeps
+    # the views
+    @pytest.mark.parametrize("base, grid", [((32, 32), (64, 64)), ((64, 64), (128, 128)),
+                                            ((32, 64), (64, 128)), ((32, 32), (32, 32))])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_bitwise_equal_to_the_products_with_transposed_views(self, base, grid, batch):
+        (n1, n2), (m1, m2) = base, grid
+        C1, A1 = _cosine_matrices(n1, m1)[:2]
+        C2, A2 = _cosine_matrices(n2, m2)[:2]
+        rng = np.random.default_rng(300 * batch + grid[1])
+        c = rng.normal(size=(batch, n1, n2))
+        expected = C1 @ (c.reshape(-1, n2) @ C2.T).reshape(batch, n1, m2)
+        assert np.array_equal(coeffs_to_grid(c, grid), expected)
+
+        values = rng.normal(size=(batch, m1, m2))
+        offsets = values[:, 0, 0].copy()
+        shifted = np.stack([v - o for v, o in zip(values, offsets)])
+        expected = A1 @ (shifted.reshape(-1, m2) @ A2.T).reshape(batch, m1, n2)
+        expected[:, 0, 0] += offsets
+        assert np.array_equal(grid_to_coeffs(values, base), expected)
+
+        right = _cosine_matrices(n2, m2)[2:]
+        assert all(f.flags.c_contiguous == (m2 > n2) for f in right)
+
+
 def assert_rel_close(got, expected, rtol):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
