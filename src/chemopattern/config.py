@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .output import cell, fmt
 from .reduction import CONVENTIONS
-from .simulator import record_modes
+from .simulator import grid_size_ok, record_modes
 
 EXPERIMENT_KINDS = (
     "linear",
@@ -96,7 +96,7 @@ _REQUIREMENTS = {
     "> -1": lambda x: -1 < x < math.inf,
     ">= 0": lambda x: 0 <= x < math.inf,
     ">= 1": lambda n: n >= 1,
-    "a power of two >= 32": lambda n: n >= 32 and n & (n - 1) == 0,
+    "a power of two >= 32": grid_size_ok,
     "'random' or 'modes'": lambda s: s in ("random", "modes"),
     "'formula' or 'paper'": lambda s: s in CONVENTIONS,
 }

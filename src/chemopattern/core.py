@@ -206,17 +206,10 @@ def pes_classification(
     rounding in |sigma| relative to the coupling scale.
     """
     crit = lambda_critical(p, g, k_max)  # validates the search box
-    table = rho_table(k_max + 1, k_max + 1, g)
-    sig = sigma(table, p)
     tol = PES_ZERO_TOL * max(1.0, abs(p.lam), crit.lambda_c)
-    out: dict[ModeIndex, int] = {}
-    for k1 in range(k_max + 1):
-        for k2 in range(k_max + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            s = sig[k1, k2]
-            out[(k1, k2)] = 0 if abs(s) <= tol else (1 if s > 0 else -1)
-    return out
+    sig = sigma(rho_table(k_max + 1, k_max + 1, g), p)
+    return {k: 0 if abs(s) <= tol else (1 if s > 0 else -1)
+            for k, s in np.ndenumerate(sig) if k != (0, 0)}
 
 
 def make_critical_geometry(m: int, n: int, p: ModelParams) -> DomainGeometry:

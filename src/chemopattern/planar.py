@@ -173,8 +173,8 @@ class _Lanes:
 
     def __init__(self, rc: ReducedCoefficients, starts, dt: float, t_end: float, targets,
                  samples: bool = True):
-        if dt <= 0 or t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < dt < math.inf and 0 < t_end < math.inf):
+            raise ValueError(f"dt and t_end must be positive and finite, got {dt} and {t_end}")
         for y in starts:
             y = np.asarray(y, dtype=float)
             if y.shape != (2,) or not np.isfinite(y).all():

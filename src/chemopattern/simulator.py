@@ -122,8 +122,8 @@ class InitialCondition:
         return SpectralField(c, geometry)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def grid_size_ok(n: int) -> bool:  # a power of two >= 32
+    return n >= 32 and n & (n - 1) == 0
 
 
 def record_modes(m: int, n: int) -> tuple[ModeIndex, ...]:
@@ -156,7 +156,7 @@ class SimConfig:
     steady_window: float = 50.0
 
     def __post_init__(self) -> None:
-        if not (_is_pow2(self.n1) and _is_pow2(self.n2)) or self.n1 < 32 or self.n2 < 32:
+        if not (grid_size_ok(self.n1) and grid_size_ok(self.n2)):
             raise ValueError("n1 and n2 must be powers of two >= 32")
         for name in ("dt", "t_end", "record_interval", "steady_window"):
             if not 0 < getattr(self, name) < np.inf:

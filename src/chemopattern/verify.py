@@ -27,7 +27,7 @@ from .core import (
     make_critical_geometry,
     nondimensionalize,
     pes_classification,
-    rho,
+    rho_table,
     sigma,
     PhysicalParams,
 )
@@ -111,6 +111,10 @@ def _lambda_for_sigma(crit: CriticalData, sig: float) -> float:
 # plain experiment drivers
 # ----------------------------------------------------------------------------
 
+#: ``pes_classification``'s signs as ``linear_sigma.tsv`` writes them.
+_SIGN_TEXT = {-1: "-", 0: "0", 1: "+"}
+
+
 def run_linear(cfg: ExperimentConfig) -> dict[str, str]:
     """Critical-coupling search and growth-rate tables; writes two files."""
     p, g, crit, m, n = resolve_setup(cfg)
@@ -126,19 +130,16 @@ def run_linear(cfg: ExperimentConfig) -> dict[str, str]:
     ]
 
     factors = cfg.get("linear", "lambda_factors")
+    table = rho_table(k_max + 1, k_max + 1, g)
+    columns = []  # (sigma table, signs) per factor; the signs are criterion 2's
+    for f in factors:
+        pf = ModelParams(p.mu, p.alpha, crit.lambda_c * f)
+        columns.append((sigma(table, pf), pes_classification(pf, g, k_max)))
     rows = [["k1", "k2", "rho"]
             + [c for f in factors for c in (f"sigma@{fmt(f)}x", f"sign@{fmt(f)}x")]]
-    for k1 in range(k_max + 1):
-        for k2 in range(k_max + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            r = rho((k1, k2), g)
-            row = [k1, k2, r]
-            for f in factors:
-                pf = ModelParams(p.mu, p.alpha, crit.lambda_c * f)
-                s = sigma(r, pf)
-                row += [s, "0" if abs(s) <= 1e-10 * max(1.0, pf.lam) else ("+" if s > 0 else "-")]
-            rows.append(row)
+    modes = [(k1, k2) for k1 in range(k_max + 1) for k2 in range(k_max + 1) if k1 or k2]
+    rows += [[*k, table[k], *(v for sig, signs in columns for v in (sig[k], _SIGN_TEXT[signs[k]]))]
+             for k in modes]
 
     return _write(cfg, {"linear_critical.tsv": tsv(crit_rows), "linear_sigma.tsv": tsv(rows)})
 

@@ -141,6 +141,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="y0 must be a finite point"):
             integrate(rc_super, y0, dt=1.0, t_end=10.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name", ["dt", "t_end"])
+    @pytest.mark.parametrize("run", [
+        lambda rc, **times: integrate(rc, (1e-3, 2e-3), **{"dt": 1.0, "t_end": 10.0, **times}),
+        lambda rc, **times: basin_survey(rc, 0.01, 4, **{"dt": 1.0, "t_end": 10.0, **times}),
+    ], ids=["integrate", "basin_survey"])
+    def test_rejects_bad_times(self, rc_super, run, name, value):
+        with pytest.raises(ValueError, match="dt and t_end must be positive"):
+            run(rc_super, **{name: value})
+
     def test_adaptive_bitwise_reproducible(self, rc_super):
         a = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)
         b = integrate(rc_super, (1e-3, 2e-3), dt=0.5, t_end=50.0)

@@ -3,7 +3,14 @@ from dataclasses import replace
 import pytest
 
 from chemopattern.config import parse_config
-from chemopattern.core import DomainGeometry, ModelParams, lambda_critical, make_critical_geometry
+from chemopattern.core import (
+    DomainGeometry,
+    ModelParams,
+    lambda_critical,
+    make_critical_geometry,
+    pes_classification,
+)
+from chemopattern.output import fmt
 from chemopattern.reduction import equilibria
 from chemopattern.verify import (
     _sign_rules_hold,
@@ -203,6 +210,14 @@ class TestDriverOutputs:
         sigma_rows = (tmp_path / "linear_sigma.tsv").read_text().strip().splitlines()
         assert sigma_rows[0].startswith("k1\tk2\trho")
         assert len(sigma_rows) == 1 + 5 * 5 - 1  # all modes but (0, 0)
+        # each factor's sign column is criterion 2's exchange-of-stability rule
+        header, *body = [row.split("\t") for row in sigma_rows]
+        p, g, crit, _, _ = resolve_setup(cfg)
+        for f in cfg.get("linear", "lambda_factors"):
+            signs = pes_classification(ModelParams(p.mu, p.alpha, crit.lambda_c * f), g, 4)
+            column = header.index(f"sign@{fmt(f)}x")
+            assert {(int(r[0]), int(r[1])): r[column] for r in body} \
+                == {k: "-0+"[s + 1] for k, s in signs.items()}
 
     def test_reduce_carries_both_conventions(self, tmp_path):
         cfg = parse_config(cfg_text("reduce", "[model]\nlambda_factor = 1.02\n"))

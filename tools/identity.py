@@ -19,6 +19,11 @@ into ``DIR/against/`` and lists every output that differs or exists on one
 side only, with the largest relative change, |a - b| / max(|a|, |b|), of the
 numbers in each numeric file that differs; it exits 1 if any does.
 
+The first side runs on every usable CPU, the second (its child processes
+too) pinned to one, so each comparison also sets forked maps and threaded
+BLAS against in-process maps and one BLAS thread; the summary prints each
+side's CPU count, which shows when the host had only one CPU to begin with.
+
 The bytes depend on the host (OpenBLAS picks its kernel per CPU type), so
 compare two checkouts on one host, and commit no hash as a test oracle.
 ``--against .`` runs the set twice on this checkout, which must agree.
@@ -42,7 +47,8 @@ CLI = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
        "from chemopattern.cli import main; sys.exit(main(sys.argv[1:]))")
 
 # one short configuration per experiment kind, and a second simulate of each
-# model on the other grid, alpha and step
+# model on the other grid, alpha and step; the sweep's factor -1 fails, so its
+# error rows are compared too
 CONFIGS = {
     "linear": """
 [experiment]
@@ -137,7 +143,7 @@ ic_amplitude = 0.01
 kind = sweep
 seed = 5
 [sweep]
-lambda_factors = 1.02;0.98
+lambda_factors = 1.02;0.98;-1
 geometry_factors = 1.0;1.01
 t_end = 30
 dt = 0.05
@@ -353,13 +359,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     mine_dir = os.path.join(os.path.abspath(args.out), "this")
     mine = collect(ROOT, mine_dir)
-    print(f"identity: {len(mine)} outputs of {ROOT}, manifest sha256 {_digest(mine)}")
+    print(f"identity: {len(mine)} outputs of {ROOT}, usable CPUs: "
+          f"{len(os.sched_getaffinity(0))}, manifest sha256 {_digest(mine)}")
     if args.against is None:
         return 0
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     theirs_dir = os.path.join(os.path.abspath(args.out), "against")
     theirs = collect(os.path.abspath(args.against), theirs_dir)
-    print(f"against {os.path.abspath(args.against)}: {len(theirs)} outputs, "
-          f"manifest sha256 {_digest(theirs)}")
+    print(f"against {os.path.abspath(args.against)}: {len(theirs)} outputs, usable CPUs: "
+          f"{len(os.sched_getaffinity(0))}, manifest sha256 {_digest(theirs)}")
     lines = compare(mine, theirs, mine_dir, theirs_dir)
     for line in lines:
         print("  " + line)
