@@ -142,7 +142,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "dt": ("float", 0.25, "positive"),
         "t_end": ("float", 5000.0, "positive"),
         "n_rays": ("int", 64, ">= 1"),
-        "ray_radius": ("float", 0.01, "positive"),
     },
     "simulation": {
         "n1": ("int", 64, "a power of two >= 32"),
@@ -152,30 +151,20 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "record_interval": ("float", 1.0, "positive"),
         "ic_kind": ("str", "random", "'random' or 'modes'"),
         "ic_amplitude": ("float", 1e-3, "positive"),
-        "ic_kmax": ("int", 8, ">= 0"),
         "ic_modes": ("mode_list", (), None),
         "snapshot_times": ("float_list", (), ">= 0"),
-        "noise_floor": ("float", 1e-3, "positive"),
-        "steady_tol": ("float", 1e-8, "positive"),
-        "steady_window": ("float", 50.0, "positive"),
     },
     "verify": {
-        "subcritical_factor": ("float", 0.99, "positive"),
         "sigma_list": ("float_list", (0.02, 0.05, 0.1), "positive"),
         "sigma_list_hex": ("float_list", (0.01, 0.02, 0.04), "positive"),
         "ell2_perturb": ("float", 0.01, "> -1"),
         "lambda_perturb": ("float", 0.01, "> -1"),
         "n_rays": ("int", 64, ">= 1"),
-        "ray_radius": ("float", 0.01, "positive"),
-        "fit_n1": ("int", 32, "a power of two >= 32"),
-        "fit_n2": ("int", 32, "a power of two >= 32"),
         "fit_dt": ("float", 0.02, "positive"),
         "slaving_n1": ("int", 64, "a power of two >= 32"),
         "slaving_n2": ("int", 64, "a power of two >= 32"),
         "slaving_dt": ("float", 0.01, "positive"),
         "slaving_t_end": ("float", 2000.0, "positive"),
-        "pde_n1": ("int", 32, "a power of two >= 32"),
-        "pde_n2": ("int", 32, "a power of two >= 32"),
         "pde_dt": ("float", 0.02, "positive"),
         "pde_t_end": ("float", 2000.0, "positive"),
         "skip_pde": ("bool", False, None),
@@ -183,11 +172,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
     "sweep": {
         "lambda_factors": ("float_list", (0.98, 1.0, 1.02), None),
         "geometry_factors": ("float_list", (0.99, 1.0, 1.01), None),
-        "n1": ("int", 32, "a power of two >= 32"),
-        "n2": ("int", 32, "a power of two >= 32"),
         "dt": ("float", 0.02, "positive"),
         "t_end": ("float", 400.0, "positive"),
-        "ic_amplitude": ("float", 1e-3, "positive"),
     },
 }
 
@@ -212,6 +198,8 @@ _READ_BY = {
     ("geometry", "ell1"): _WORKING_POINT_READERS,
     ("geometry", "ell2"): _WORKING_POINT_READERS,
     ("geometry", "ell2_factor"): _WORKING_POINT_READERS,
+    ("experiment", "coefficient_convention"): ("reduce", "ode", "sweep", "verify-theorem1",
+                                               "verify-theorem2"),
 }
 
 
@@ -254,12 +242,13 @@ def parse_config(text: str, overrides: dict[tuple[str, str], object] | None = No
     """Parse and validate configuration text; fills defaults.
 
     ``overrides`` maps (section, key) to a value that replaces the text's
-    before validation (the command-line flags).  Raises :class:`ConfigError`
+    before validation (the command-line flags); each is checked as a line of
+    the text is, and reported without a line number.  Raises :class:`ConfigError`
     (with a line number) on unknown sections or keys, bad values, duplicates,
     and missing required keys.
     """
     values: dict[str, dict[str, object]] = {}
-    lines: dict[tuple[str, str], int] = {}
+    lines: dict[tuple[str, str], int | None] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -306,16 +295,17 @@ def parse_config(text: str, overrides: dict[tuple[str, str], object] | None = No
             data[sec][key] = values.get(sec, {}).get(key, default)
     for (sec, key), value in (overrides or {}).items():
         data[sec][key] = value
+        lines[sec, key] = None
 
     cfg = ExperimentConfig(kind=kind, data=data)
     _validate(cfg, lines)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int]) -> None:
+def _validate(cfg: ExperimentConfig, lines: dict[tuple[str, str], int | None]) -> None:
     """Check each value against its schema row's requirement, and the rules
     that involve more than one key; ``lines`` maps each explicitly set
-    (section, key) to its line number."""
+    (section, key) to its line number, or None if a flag set it."""
     for (sec, key), lineno in lines.items():
         if _set_by_kind(cfg.kind, sec, key):
             raise ConfigError(f"[{sec}] {key} is not used by kind = {cfg.kind}", lineno)

@@ -95,13 +95,12 @@ class BlowUpError(RuntimeError):
 class InitialCondition:
     """Initial data: either explicit mode amplitudes or a seeded random
     perturbation (per-mode uniform in [-amplitude, amplitude], modes with
-    k1 > kmax or k2 > kmax left empty)."""
+    k1 > 8 or k2 > 8 left empty)."""
 
     kind: str = "random"
     modes: tuple[tuple[ModeIndex, float], ...] = ()
     amplitude: float = 1e-3
     seed: int | None = None
-    kmax: int = 8
 
     def build(self, n1: int, n2: int, geometry: DomainGeometry) -> SpectralField:
         c = np.zeros((n1, n2))
@@ -114,7 +113,7 @@ class InitialCondition:
             if self.seed is None:
                 raise ValueError("random initial condition requires a seed")
             rng = np.random.default_rng(self.seed)
-            kcap = min(self.kmax, n1 - 1, n2 - 1)
+            kcap = min(8, n1 - 1, n2 - 1)
             block = rng.uniform(-self.amplitude, self.amplitude, size=(kcap + 1, kcap + 1))
             c[: kcap + 1, : kcap + 1] = block
         else:
@@ -137,7 +136,9 @@ def record_modes(m: int, n: int) -> tuple[ModeIndex, ...]:
 class SimConfig:
     """Full description of one simulation run.  Times fall on the step grid:
     a run takes round(t_end/dt) steps, ending up to half a step off ``t_end``,
-    and records every max(1, round(record_interval/dt)) steps and the last."""
+    and records every max(1, round(record_interval/dt)) steps and the last.
+    Its steady exit has a window of 50 and a tolerance of 1e-8, and its
+    fingerprint a noise floor of 1e-3 (see :func:`simulate`)."""
 
     params: ModelParams
     geometry: DomainGeometry
@@ -151,14 +152,11 @@ class SimConfig:
     record_interval: float = 1.0
     snapshot_times: tuple[float, ...] = ()
     nonlinear: bool = True
-    noise_floor: float = 1e-3
-    steady_tol: float = 1e-8
-    steady_window: float = 50.0
 
     def __post_init__(self) -> None:
         if not (grid_size_ok(self.n1) and grid_size_ok(self.n2)):
             raise ValueError("n1 and n2 must be powers of two >= 32")
-        for name in ("dt", "t_end", "record_interval", "steady_window"):
+        for name in ("dt", "t_end", "record_interval"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if round(self.t_end / self.dt) < 1:
@@ -437,25 +435,22 @@ class _Recorder:
             self.snapshots.append((t, GridField(coeffs_to_grid(c), self.cfg.geometry)))
 
     def is_steady(self) -> bool:
-        cfg = self.cfg
         t_now, l2_now = self.times[-1], self.l2[-1]
         if l2_now < 1e-12:
             return True
-        # the last record at least one window back, if there is one
-        j = bisect.bisect_right(self.times, t_now - cfg.steady_window) - 1
-        if j < 0:
+        # the last record at least one window (50) back, if there is one
+        j = bisect.bisect_right(self.times, t_now - 50.0) - 1
+        if j < 0 or t_now - self.times[j] < 50.0:
             return False
         t_then, l2_then = self.times[j], self.l2[j]
-        if t_now - t_then < cfg.steady_window:
-            return False
         rate = abs(l2_now - l2_then) / (max(l2_now, 1e-12) * (t_now - t_then))
-        return rate <= cfg.steady_tol
+        return rate <= 1e-8
 
     def finish(self, c: np.ndarray, steady: bool = False, blown: bool = False) -> Diagnostics:
         cfg = self.cfg
         (km, kn), (k0, k2n) = cfg.critical_pair
         fingerprint = "unresolved" if blown else \
-            pattern_fingerprint(float(c[km, kn]), float(c[k0, k2n]), cfg.noise_floor)
+            pattern_fingerprint(float(c[km, kn]), float(c[k0, k2n]), noise_floor=1e-3)
         return Diagnostics(
             times=np.asarray(self.times),
             mode_series={k: np.asarray(v) for k, v in self.series.items()},
@@ -491,10 +486,11 @@ def simulate(cfg: SimConfig) -> tuple[Diagnostics, SpectralField]:
     """Run the scalar model; returns diagnostics and the final coefficients.
 
     The run stops early at a record whose relative l2 drift per unit time,
-    from the last record at least ``steady_window`` back, is at most
-    ``steady_tol`` (or whose l2 is below 1e-12).  A step that leaves a
-    non-finite state, or a record whose l2 norm exceeds ``BLOWUP_NORM``,
-    raises :class:`BlowUpError` carrying its time and the partial diagnostics.
+    from the last record at least 50 back, is at most 1e-8 (or whose l2 is
+    below 1e-12); the fingerprint is trivial where both critical amplitudes
+    are at most 1e-3.  A step that leaves a non-finite state, or a record
+    whose l2 norm exceeds ``BLOWUP_NORM``, raises :class:`BlowUpError`
+    carrying its time and the partial diagnostics.
     """
     u0 = cfg.ic.build(cfg.n1, cfg.n2, cfg.geometry)
     stepper = _ScalarStepper((cfg.n1, cfg.n2), cfg.geometry, cfg.params, cfg.dt, cfg.nonlinear)

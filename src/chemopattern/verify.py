@@ -172,7 +172,7 @@ def run_ode(cfg: ExperimentConfig) -> dict[str, str]:
     rc = cubic_coefficients(p, g, m, n, convention=cfg.convention)
     o = cfg.data["ode"]
     traj = integrate(rc, (o["y0_1"], o["y0_2"]), o["dt"], o["t_end"])
-    survey = basin_survey(rc, o["ray_radius"], o["n_rays"], t_end=o["t_end"], dt=o["dt"])
+    survey = basin_survey(rc, 0.01, o["n_rays"], t_end=o["t_end"], dt=o["dt"])
     desc = attractor_graph(rc)
 
     basin_rows = [("angle", "label", "y1", "y2")]
@@ -285,7 +285,8 @@ def _sweep_cell(cfg: ExperimentConfig, cell: int, factors: tuple[float, float]) 
             n_eq = len([e for e in equilibria(rc) if e.pattern_class != "trivial"])
         except RectangleRootError:
             n_eq = -1
-        diag, _ = simulate(_run_config(cfg, "sweep", "", p, g, m, n, {"seed": cfg.seed + cell}))
+        diag, _ = simulate(_run_config(cfg, "sweep", "", p, g, m, n, {"seed": cfg.seed + cell},
+                                       n1=32, n2=32))
         return (gf, lf, crit.lambda_c, _modes_str(crit.critical_modes), crit.rho_star,
                 rc.frak_a, rc.frak_b1_formula, rc.frak_b2_formula,
                 rc.frak_b1_paper, rc.frak_b2_paper, n_eq, diag.final_fingerprint, "ok")
@@ -390,7 +391,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
             transition_type(rc_c) == "type-1")
 
     # subcritical side: the uniform state is the only attractor
-    p_sub = ModelParams(p.mu, p.alpha, crit.lambda_c * v["subcritical_factor"])
+    p_sub = ModelParams(p.mu, p.alpha, crit.lambda_c * 0.99)
     signs = pes_classification(p_sub, g, cfg.get("geometry", "k_max"))
     rep.add("subcritical: all growth rates negative", "all -",
             "all -" if all(s < 0 for s in signs.values()) else "some >= 0",
@@ -420,7 +421,7 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
                  "assignment; see the sign-rule check")
     _ring_rows(rep, rc, eqs, "ring attractor (8 equilibria + heteroclinic ring)")
 
-    survey = basin_survey(rc, v["ray_radius"], v["n_rays"])
+    survey = basin_survey(rc, 0.01, v["n_rays"])
     labels = Counter("unresolved" if e is None else e.pattern_class for e in survey.values())
     off_axis = [e for theta, e in survey.items() if abs(math.sin(2.0 * theta)) > 1e-9]
     rep.add("basin survey: off-axis rays end at hexagons (as stated)",
@@ -494,13 +495,14 @@ def _theorem1_checks(cfg: ExperimentConfig, rep: VerificationReport) -> None:
     stages = [
         ("coefficient arbitration", lambda: [_run_config(
             cfg, "verify", "fit_", ModelParams(p.mu, p.alpha, _lambda_for_sigma(crit, sig)),
-            g, m, n, {"kind": "modes", "modes": seed_modes[branch]}, t_end=max(80.0 / sig, 400.0))
+            g, m, n, {"kind": "modes", "modes": seed_modes[branch]}, n1=32, n2=32,
+            t_end=max(80.0 / sig, 400.0))
             for branch, sig in branch_runs], read_arbitration),
         ("slaving fits", lambda: [_run_config(
             cfg, "verify", "slaving_", p, g, m, n,
             {"kind": "modes", "modes": (((m, n), 1.3e-3), ((0, 2 * n), 1e-3))})], read_slaving),
         ("simulation fingerprint", lambda: [_run_config(
-            cfg, "verify", "pde_", p, g, m, n, {"seed": cfg.seed, "amplitude": 1e-3})],
+            cfg, "verify", "pde_", p, g, m, n, {"seed": cfg.seed}, n1=32, n2=32)],
          read_fingerprint)]
     if v["skip_pde"]:
         stages.pop()

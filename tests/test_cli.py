@@ -106,11 +106,11 @@ class TestCliBasics:
         ("reduce", "[model]\nlambda = inf", "line 5: [model] lambda must be positive, got inf"),
         ("linear", "[geometry]\nell2_factor = inf",
          "line 5: [geometry] ell2_factor must be positive, got inf"),
-        ("simulate", "[simulation]\nsteady_window = nan",
-         "line 5: [simulation] steady_window must be positive, got nan"),
+        ("simulate", "[simulation]\nrecord_interval = nan",
+         "line 5: [simulation] record_interval must be positive, got nan"),
         ("linear", "[linear]\nlambda_factors = 1;nan",
          "line 5: [linear] lambda_factors must be positive, got nan")],
-        ids=["simulate", "ode", "reduce", "linear", "simulate-steady_window",
+        ids=["simulate", "ode", "reduce", "linear", "simulate-record_interval",
              "linear-lambda_factors"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, kind, entry, message):
         cfg = write(tmp_path / "nf.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n{entry}\n")
@@ -118,7 +118,7 @@ class TestCliBasics:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("kind, section", [("simulate", "simulation"), ("sweep", "sweep")])
+    @pytest.mark.parametrize("kind, section", [("simulate", "simulation")])
     def test_grid_range_is_a_config_error(self, tmp_path, capsys, kind, section):
         cfg = write(tmp_path / "grid.cfg", f"[experiment]\nkind = {kind}\nseed = 1\n"
                                            f"[{section}]\nn1 = 16\n")
@@ -216,6 +216,14 @@ class TestCliBasics:
         text = (tmp_path / "o" / "reduce_coefficients.tsv").read_text()
         assert "convention\tpaper" in text
         assert "b1_active\t-2.1" in text
+
+    def test_convention_flag_on_a_kind_that_never_reads_it(self, tmp_path, capsys):
+        cfg = write(tmp_path / "sim.cfg", SIM_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--coefficient-convention", "paper"]) == 2
+        assert capsys.readouterr().err == ("error: [experiment] coefficient_convention is not "
+                                           "used by kind = simulate\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterministicOutputs:

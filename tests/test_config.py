@@ -24,25 +24,18 @@ kind = linear
 #: (kind, section, entry, requirement, value as reported) of out-of-range entries
 RANGE_CASES = [
     ("verify-theorem1", "verify", "n_rays = 0", ">= 1", "0"),
-    ("verify-theorem1", "verify", "ray_radius = -1", "positive", "-1.0"),
     ("verify-theorem1", "verify", "fit_dt = -0.5", "positive", "-0.5"),
     ("verify-theorem1", "verify", "slaving_dt = 0", "positive", "0.0"),
     ("verify-theorem1", "verify", "slaving_t_end = -10", "positive", "-10.0"),
     ("verify-theorem1", "verify", "pde_dt = 0", "positive", "0.0"),
     ("verify-theorem1", "verify", "pde_t_end = 0", "positive", "0.0"),
-    ("verify-theorem1", "verify", "fit_n1 = 16", "a power of two >= 32", "16"),
-    ("verify-theorem1", "verify", "fit_n2 = 48", "a power of two >= 32", "48"),
     ("verify-theorem1", "verify", "slaving_n1 = 0", "a power of two >= 32", "0"),
     ("verify-theorem1", "verify", "slaving_n2 = 96", "a power of two >= 32", "96"),
-    ("verify-theorem1", "verify", "pde_n1 = 8", "a power of two >= 32", "8"),
-    ("verify-theorem1", "verify", "pde_n2 = -64", "a power of two >= 32", "-64"),
     ("simulate", "simulation", "n1 = 16", "a power of two >= 32", "16"),
     ("simulate-full", "simulation", "n2 = 100", "a power of two >= 32", "100"),
     ("simulate", "simulation", "dt = 0", "positive", "0.0"),
     ("simulate-full", "simulation", "t_end = -5", "positive", "-5.0"),
     ("simulate", "simulation", "record_interval = 0", "positive", "0.0"),
-    ("sweep", "sweep", "n1 = 16", "a power of two >= 32", "16"),
-    ("sweep", "sweep", "n2 = 33", "a power of two >= 32", "33"),
     ("sweep", "sweep", "dt = -0.02", "positive", "-0.02"),
     ("sweep", "sweep", "t_end = 0", "positive", "0.0"),
     ("simulate", "simulation", "t_end = inf", "positive", "inf"),
@@ -61,21 +54,31 @@ RANGE_CASES = [
     ("linear", "geometry", "ell2 = -7\nell1 = 4", "positive", "-7.0"),
     ("linear", "geometry", "ell2_factor = inf", "positive", "inf"),
     ("linear", "geometry", "k_max = 0", ">= 1", "0"),
-    ("simulate", "simulation", "steady_window = nan", "positive", "nan"),
-    ("simulate", "simulation", "steady_tol = 0", "positive", "0.0"),
-    ("simulate-full", "simulation", "noise_floor = -1e-3", "positive", "-0.001"),
     ("simulate", "simulation", "ic_amplitude = 0", "positive", "0.0"),
-    ("simulate", "simulation", "ic_kmax = -3", ">= 0", "-3"),
     ("simulate", "simulation", "snapshot_times = 0;-5", ">= 0", "-5.0"),
-    ("sweep", "sweep", "ic_amplitude = -1", "positive", "-1.0"),
     ("linear", "linear", "lambda_factors = 0.9;-1", "positive", "-1.0"),
     ("verify-theorem1", "verify", "sigma_list = 0.02;0", "positive", "0.0"),
     ("verify-theorem1", "verify", "sigma_list_hex = nan", "positive", "nan"),
     ("verify-theorem1", "model", "lambda_factor = -inf", "positive", "-inf"),
-    ("verify-theorem1", "verify", "subcritical_factor = 0", "positive", "0.0"),
     ("verify-theorem2", "verify", "ell2_perturb = -1", "> -1", "-1.0"),
     ("verify-theorem2", "verify", "lambda_perturb = -2", "> -1", "-2.0"),
 ]
+
+#: (kind, section, entry) of the settings that are fixed in the code, each at
+#: the value it has there; no kind accepts them
+FIXED_SETTINGS = [
+    ("simulate", "simulation", "noise_floor = 1e-3"), ("simulate", "simulation", "steady_tol = 1e-8"),
+    ("simulate", "simulation", "steady_window = 50"), ("simulate-full", "simulation", "ic_kmax = 8"),
+    ("ode", "ode", "ray_radius = 0.01"), ("verify-theorem1", "verify", "ray_radius = 0.01"),
+    ("verify-theorem1", "verify", "subcritical_factor = 0.99"),
+    ("verify-theorem1", "verify", "fit_n1 = 32"), ("verify-theorem1", "verify", "fit_n2 = 32"),
+    ("verify-theorem1", "verify", "pde_n1 = 32"), ("verify-theorem1", "verify", "pde_n2 = 32"),
+    ("sweep", "sweep", "n1 = 32"), ("sweep", "sweep", "n2 = 32"),
+    ("sweep", "sweep", "ic_amplitude = 1e-3"),
+]
+
+#: the kinds that never read the coefficient convention
+NO_CONVENTION_KINDS = ("linear", "simulate", "simulate-full")
 
 WORKING_POINT_ENTRIES = [("physical", "d1 = 8"), ("model", "lambda = 18"),
                          ("model", "lambda_factor = 1.1"), ("geometry", "ell1 = 4"),
@@ -156,24 +159,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^line 3: \[experiment\] seed must be >= 0, got -1"):
             parse_config("[experiment]\nkind = sweep\nseed = -1\n")
 
+    def test_a_flag_value_is_reported_without_the_line_it_replaces(self):
+        with pytest.raises(ConfigError, match=r"^\[experiment\] seed must be >= 0, got -2$"):
+            parse_config("[experiment]\nkind = sweep\nseed = 3\n", {("experiment", "seed"): -2})
+
     # sweep and verify-theorem2 set their own geometry and coupling, the
-    # sweep its own grids, and each kind-specific section is read by its
-    # kinds only, so these keys would be silently ignored
+    # sweep its own grids, each kind-specific section is read by its kinds
+    # only, and the convention by the kinds that reduce, so these keys would
+    # be silently ignored
     @pytest.mark.parametrize("kind, section, entry", [
         (kind, section, entry)
         for kind in ("sweep", "verify-theorem2") for section, entry in WORKING_POINT_ENTRIES
     ] + [("sweep", "simulation", "n1 = 64"), ("sweep", "simulation", "dt = 0.05")] + [
         (kind, "simulation", "n1 = 16")
         for kind in ("linear", "reduce", "ode", "verify-theorem1", "verify-theorem2")] + [
-        ("linear", "sweep", "n1 = 7"), ("simulate", "verify", "fit_n1 = 3"),
+        ("linear", "sweep", "dt = 7"), ("simulate", "verify", "fit_dt = 3"),
         ("reduce", "ode", "n_rays = -5"), ("sweep", "linear", "lambda_factors = 1.1"),
         ("verify-theorem1", "ode", "dt = 0.5"), ("ode", "verify", "n_rays = 8"),
         ("simulate-full", "sweep", "t_end = 10"), ("verify-theorem2", "linear", "lambda_factors = 1"),
-        ("reduce", "verify", "subcritical_factor = 1.05"), ("sweep", "verify", "n_rays = 8"),
-        ("linear", "ode", "t_end = 10"), ("ode", "sweep", "n1 = 64")] + [
+        ("reduce", "verify", "pde_dt = 1.05"), ("sweep", "verify", "n_rays = 8"),
+        ("linear", "ode", "t_end = 10"), ("ode", "sweep", "dt = 0.05")] + [
+        (kind, "experiment", "coefficient_convention = paper") for kind in NO_CONVENTION_KINDS] + [
         # theorem2 reads only the perturbations of [verify], theorem1 all but them
-        ("verify-theorem2", "verify", "pde_n1 = 64"), ("verify-theorem2", "verify", "skip_pde = true"),
-        ("verify-theorem2", "verify", "subcritical_factor = 1.05"),
+        ("verify-theorem2", "verify", "pde_dt = 0.05"), ("verify-theorem2", "verify", "skip_pde = true"),
+        ("verify-theorem2", "verify", "fit_dt = 0.05"),
         ("verify-theorem1", "verify", "ell2_perturb = 0.02")])
     def test_sweep_rejects_keys_it_ignores(self, kind, section, entry):
         key = f"[{section}] {entry.partition(' =')[0]}"
@@ -181,9 +190,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"line 5: {re.escape(key)} is not used by kind = {kind}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kind, section, entry", FIXED_SETTINGS,
+                             ids=[f"{sec}.{entry.partition(' =')[0]}" for _k, sec, entry in FIXED_SETTINGS])
+    def test_fixed_settings_are_unknown_keys(self, kind, section, entry):
+        key = entry.partition(" =")[0]
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n[{section}]\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"^line 5: unknown key '{key}' in \[{section}\]$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_convention_flag_is_checked_as_a_line_is(self, kind):
+        # a flag has no line, so its error has none either
+        text = f"[experiment]\nkind = {kind}\nseed = 1\n"
+        override = {("experiment", "coefficient_convention"): "paper"}
+        if kind in NO_CONVENTION_KINDS:
+            message = f"[experiment] coefficient_convention is not used by kind = {kind}"
+            with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+                parse_config(text, override)
+        else:
+            assert parse_config(text, override).convention == "paper"
+            assert parse_config(text + "coefficient_convention = paper\n").convention == "paper"
+
     @pytest.mark.parametrize("entry, message", [
         ("dt = 0", "dt must be positive, got 0.0"), ("t_end = -300", "t_end must be positive, got -300.0"),
-        ("n_rays = -5", "n_rays must be >= 1, got -5"), ("ray_radius = 0", "ray_radius must be positive, got 0.0"),
+        ("n_rays = -5", "n_rays must be >= 1, got -5"),
     ])
     def test_ode_ranges(self, entry, message):
         text = f"[experiment]\nkind = ode\n[ode]\ny0_1 = 0.002\n{entry}\n"
@@ -280,7 +310,7 @@ class TestParsing:
     @pytest.mark.parametrize("kind, section, entry, message", [
         ("simulate", "simulation", "ic_kind = Random",
          "[simulation] ic_kind must be 'random' or 'modes', got Random"),
-        ("linear", "experiment", "coefficient_convention = Paper",
+        ("reduce", "experiment", "coefficient_convention = Paper",
          "[experiment] coefficient_convention must be 'formula' or 'paper', got Paper")],
         ids=["simulation.ic_kind", "experiment.coefficient_convention"])
     def test_choice_ranges(self, kind, section, entry, message):
@@ -349,6 +379,7 @@ class TestRoundTrip:
         assert ("[ode]" in text) == (kind == "ode")
         assert ("[sweep]" in text) == (kind == "sweep")
         assert ("[verify]" in text) == (kind in ("verify-theorem1", "verify-theorem2"))
+        assert ("coefficient_convention" in text) == (kind not in NO_CONVENTION_KINDS)
         assert serialize_config(parse_config(text)) == text
 
     def test_all_schema_types_have_formatters(self):

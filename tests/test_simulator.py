@@ -377,8 +377,7 @@ class TestSimConfigValidation:
             sim_config(n1=16, n2=16)
 
     @pytest.mark.parametrize("name, value", [
-        ("dt", math.nan), ("record_interval", math.nan), ("t_end", math.inf),
-        ("steady_window", 0.0), ("steady_window", -1.0)])
+        ("dt", math.nan), ("record_interval", math.nan), ("t_end", math.inf)])
     def test_rejects_times_it_cannot_run(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
             sim_config(**{name: value})
@@ -528,15 +527,14 @@ class TestSimulate:
 
 class TestSteadyExit:
     """A run exits steady at the first record whose relative l2 drift per
-    unit time, against the last record at least ``steady_window`` before it,
-    is at most ``steady_tol``, whether or not a record lies exactly one
-    window back."""
+    unit time, against the last record at least 50 before it, is at most
+    1e-8, whether or not a record lies exactly one window back."""
 
     def test_records_off_the_window_grid(self):
         # dt = 0.03 records every 33 steps, 0.99 apart: no record lies exactly
         # 50 before another, and the first with one at least 50 before it is
         # at 1683*dt = 50.49, measured against t = 0
-        rec = simulator._Recorder(sim_config(dt=0.03, steady_window=50.0))
+        rec = simulator._Recorder(sim_config(dt=0.03))
         assert rec.every == 33
         c = single_mode(1, 1, 0.1).coeffs
         rec.record(0.0, c)
@@ -547,9 +545,8 @@ class TestSteadyExit:
         assert answers[-1] == (1683 * 0.03, True)
         assert not any(steady for _, steady in answers[:-1])
 
-    @pytest.mark.parametrize("grid", [dict(dt=0.08), dict(record_interval=0.7),
-                                      dict(steady_window=37.3)],
-                             ids=["dt=0.08", "record_interval=0.7", "steady_window=37.3"])
+    @pytest.mark.parametrize("grid", [dict(dt=0.08), dict(record_interval=0.7)],
+                             ids=["dt=0.08", "record_interval=0.7"])
     def test_roll_run_exits_steady_on_any_grid(self, grid):
         # criterion 9's seed 0 exits steady at t = 195 on dt = 0.02 with
         # records 1 apart and a window of 50
